@@ -1,6 +1,7 @@
 package lowsensing
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 
@@ -25,33 +26,72 @@ func init() {
 	registerBuiltinFaults()
 }
 
+// rejectParams refuses Params on a built-in kind: built-ins take their
+// typed spec fields, so a params map there is a misconfiguration that
+// would otherwise run silently with the defaults.
+func rejectParams(kind string, params map[string]float64) error {
+	if len(params) == 0 {
+		return nil
+	}
+	return fmt.Errorf("lowsensing: built-in kind %q takes no params; built-ins take their typed fields", kind)
+}
+
+// typedArrivals, typedProtocol, and typedJammer wrap a built-in kind's
+// factory so it first rejects Params.
+func typedArrivals(f ArrivalsFactory) ArrivalsFactory {
+	return func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
+		if err := rejectParams(a.Kind, a.Params); err != nil {
+			return nil, err
+		}
+		return f(a, seed)
+	}
+}
+
+func typedProtocol(f ProtocolFactory) ProtocolFactory {
+	return func(p ProtocolSpec) (StationFactory, error) {
+		if err := rejectParams(cmp.Or(p.Kind, ProtocolLSB), p.Params); err != nil {
+			return nil, err
+		}
+		return f(p)
+	}
+}
+
+func typedJammer(f JammerFactory) JammerFactory {
+	return func(j JammerSpec, seed uint64) (Jammer, error) {
+		if err := rejectParams(j.Kind, j.Params); err != nil {
+			return nil, err
+		}
+		return f(j, seed)
+	}
+}
+
 func registerBuiltinArrivals() {
 	RegisterArrivals(ArrivalsBatch,
 		"n packets injected at slot 0 — the classic batch instance",
-		func(a ArrivalsSpec, _ uint64) (ArrivalSource, error) {
+		typedArrivals(func(a ArrivalsSpec, _ uint64) (ArrivalSource, error) {
 			if a.N <= 0 {
 				return nil, fmt.Errorf("lowsensing: batch size must be > 0, got %d", a.N)
 			}
 			return arrivals.NewBatch(a.N), nil
-		})
+		}))
 	RegisterArrivals(ArrivalsBernoulli,
 		"one packet per slot with probability rate, stopping after n packets (n <= 0 unbounded)",
-		func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
+		typedArrivals(func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
 			return arrivals.NewBernoulli(a.Rate, a.N, seed)
-		})
+		}))
 	RegisterArrivals(ArrivalsPoisson,
 		"Poisson(rate) packets per slot, stopping after n packets (n <= 0 unbounded)",
-		func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
+		typedArrivals(func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
 			return arrivals.NewPoisson(a.Rate, a.N, seed)
-		})
+		}))
 	RegisterArrivals(ArrivalsQueue,
 		"adversarial-queuing bursts: floor(rate*granularity) packets at each of windows window starts",
-		func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
+		typedArrivals(func(a ArrivalsSpec, seed uint64) (ArrivalSource, error) {
 			return arrivals.NewAQT(a.Granularity, a.Rate, a.Windows, arrivals.AQTBurst, seed)
-		})
+		}))
 	RegisterArrivals(ArrivalsFile,
 		"replays a recorded slot/count trace from path",
-		func(a ArrivalsSpec, _ uint64) (ArrivalSource, error) {
+		typedArrivals(func(a ArrivalsSpec, _ uint64) (ArrivalSource, error) {
 			if a.Path == "" {
 				return nil, fmt.Errorf("lowsensing: file arrivals need a path")
 			}
@@ -71,42 +111,42 @@ func registerBuiltinArrivals() {
 			}
 			defer f.Close()
 			return arrivals.ParseTrace(f)
-		})
+		}))
 }
 
 func registerBuiltinProtocols() {
 	RegisterProtocol(ProtocolLSB,
 		"LOW-SENSING BACKOFF, the paper's algorithm (config: c, w_min, k; zero config = defaults)",
-		func(p ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(p ProtocolSpec) (StationFactory, error) {
 			cfg := p.Config
 			if cfg == (Config{}) {
 				cfg = DefaultConfig()
 			}
 			return core.NewFactory(cfg)
-		})
+		}))
 	RegisterProtocol(ProtocolBEB,
 		"binary exponential backoff, the classic oblivious baseline",
-		func(ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(ProtocolSpec) (StationFactory, error) {
 			return protocols.NewBEBFactory(2, 0)
-		})
+		}))
 	RegisterProtocol(ProtocolMWU,
 		"full-sensing multiplicative weights: constant throughput, listens every slot",
-		func(ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(ProtocolSpec) (StationFactory, error) {
 			return protocols.NewMWUFactory(protocols.DefaultMWUConfig())
-		})
+		}))
 	RegisterProtocol(ProtocolSawtooth,
 		"fully oblivious sawtooth backoff baseline",
-		func(ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(ProtocolSpec) (StationFactory, error) {
 			return protocols.NewSawtoothFactory(), nil
-		})
+		}))
 	RegisterProtocol(ProtocolAloha,
 		"fixed-rate slotted ALOHA (send_prob: per-slot transmission probability)",
-		func(p ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(p ProtocolSpec) (StationFactory, error) {
 			return protocols.NewAlohaFactory(p.SendProb)
-		})
+		}))
 	RegisterProtocol(ProtocolPoly,
 		"polynomial backoff with window w0*(collisions+1)^alpha (defaults 2, 2)",
-		func(p ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(p ProtocolSpec) (StationFactory, error) {
 			w0, alpha := p.W0, p.Alpha
 			if w0 == 0 {
 				w0 = 2
@@ -115,12 +155,12 @@ func registerBuiltinProtocols() {
 				alpha = 2
 			}
 			return protocols.NewPolyFactory(w0, alpha)
-		})
+		}))
 	RegisterProtocol(ProtocolGenie,
 		"genie-aided ALOHA oracle that knows the exact backlog (throughput ceiling, not realizable)",
-		func(ProtocolSpec) (StationFactory, error) {
+		typedProtocol(func(ProtocolSpec) (StationFactory, error) {
 			return protocols.NewGenieAlohaFactory(), nil
-		})
+		}))
 }
 
 func registerBuiltinRouters() {
@@ -149,17 +189,17 @@ func registerBuiltinRouters() {
 func registerBuiltinJammers() {
 	RegisterJammer(JammerRandom,
 		"jams each slot independently with probability rate, up to budget jams (0 = unbounded)",
-		func(j JammerSpec, seed uint64) (Jammer, error) {
+		typedJammer(func(j JammerSpec, seed uint64) (Jammer, error) {
 			return jamming.NewRandom(j.Rate, j.Budget, seed^0x6a)
-		})
+		}))
 	RegisterJammer(JammerBurst,
 		"jams every slot in [from, to)",
-		func(j JammerSpec, _ uint64) (Jammer, error) {
+		typedJammer(func(j JammerSpec, _ uint64) (Jammer, error) {
 			return jamming.NewInterval(j.From, j.To)
-		})
+		}))
 	RegisterJammer(JammerReactive,
 		"reactive adversary (paper 1.3): jams whenever packet target transmits, up to budget jams",
-		func(j JammerSpec, _ uint64) (Jammer, error) {
+		typedJammer(func(j JammerSpec, _ uint64) (Jammer, error) {
 			return jamming.NewReactiveTargeted(j.Target, j.Budget)
-		})
+		}))
 }

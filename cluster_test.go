@@ -193,6 +193,8 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 		"unknown router":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "router": {"kind": "nope"}}`,
 		"unknown protocol": `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "protocol": {"kind": "nope"}}`,
 		"malformed":        `{"channels": `,
+		"poisson rate":     `{"channels": 2, "arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
+		"negative cap":     `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "max_slots": -5}`,
 	}
 	for name, spec := range cases {
 		if _, err := lowsensing.ParseClusterScenario([]byte(spec)); err == nil {

@@ -146,6 +146,9 @@ func (cs ClusterScenario) config() (cluster.Config, error) {
 	if cs.Channels < 1 {
 		return cluster.Config{}, fmt.Errorf("lowsensing: ClusterScenario.Channels must be >= 1, got %d", cs.Channels)
 	}
+	if err := validateMaxSlots(cs.MaxSlots); err != nil {
+		return cluster.Config{}, err
+	}
 	src, err := cs.Arrivals.Source(cs.Seed)
 	if err != nil {
 		return cluster.Config{}, err

@@ -188,11 +188,11 @@ func TestRunSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithBatchArrivals(64),
-		lowsensing.WithBurstJamming(0, 128),
-	).Run()
+	want, err := lowsensing.Scenario{
+		Seed:     3,
+		Arrivals: lowsensing.BatchArrivals(64),
+		Jammer:   lowsensing.BurstJamming(0, 128),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

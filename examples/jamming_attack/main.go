@@ -31,12 +31,11 @@ func main() {
 
 	// Scenario 1: broadband burst attack in the middle of the run.
 	col := &lowsensing.Collector{Every: 500}
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(seed),
-		lowsensing.WithBernoulliArrivals(rate, packets),
-		lowsensing.WithBurstJamming(jamStart, jamEnd),
-		lowsensing.WithCollector(col),
-	).Run()
+	res, err := lowsensing.Scenario{
+		Seed:     seed,
+		Arrivals: lowsensing.BernoulliArrivals(rate, packets),
+		Jammer:   lowsensing.BurstJamming(jamStart, jamEnd),
+	}.Simulation(lowsensing.WithCollector(col)).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,16 +70,15 @@ func main() {
 	// victim's stats stream out through a packet sink — default runs keep
 	// no per-packet table.
 	var victim lowsensing.PacketStats
-	res2, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(seed),
-		lowsensing.WithBatchArrivals(512),
-		lowsensing.WithReactiveJamming(0, 64),
-		lowsensing.WithPacketSink(func(p lowsensing.PacketStats) {
-			if p.ID == 0 {
-				victim = p
-			}
-		}),
-	).Run()
+	res2, err := lowsensing.Scenario{
+		Seed:     seed,
+		Arrivals: lowsensing.BatchArrivals(512),
+		Jammer:   lowsensing.ReactiveJamming(0, 64),
+	}.Simulation(lowsensing.WithPacketSink(func(p lowsensing.PacketStats) {
+		if p.ID == 0 {
+			victim = p
+		}
+	})).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -132,10 +132,10 @@ type Poisson struct {
 }
 
 // NewPoisson returns a Poisson arrival source with mean lambda arrivals per
-// slot. It returns an error if lambda <= 0.
+// slot. It returns an error unless 0 < lambda < dist.MaxPoissonLambda.
 func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
-	if !(lambda > 0) {
-		return nil, fmt.Errorf("arrivals: Poisson lambda must be > 0, got %v", lambda)
+	if !(lambda > 0 && lambda < dist.MaxPoissonLambda) {
+		return nil, fmt.Errorf("arrivals: Poisson lambda must be in (0, %v), got %v", float64(dist.MaxPoissonLambda), lambda)
 	}
 	return &Poisson{
 		lambda: lambda,

@@ -58,6 +58,11 @@ func Geometric(rng *prng.Source, p float64) int64 {
 // the cutover must sit between those bounds.
 const poissonPTRSCutover = 10
 
+// MaxPoissonLambda bounds the mean Poisson accepts: beyond 2^52 the
+// support no longer fits the float64 integer range, so exact sampling is
+// impossible.
+const MaxPoissonLambda = 1 << 52
+
 // Poisson returns a draw from the Poisson distribution with mean lambda:
 // support {0, 1, ...}, variance lambda.
 //
@@ -65,15 +70,15 @@ const poissonPTRSCutover = 10
 // larger lambda it uses Hörmann's PTRS transformed rejection, which is also
 // exact and needs O(1) uniforms regardless of lambda. Edge cases:
 // lambda == 0 returns 0 (the degenerate distribution); lambda < 0 or NaN
-// panics; huge lambda (beyond ~2^52, where the support no longer fits the
-// float64 integer range) panics rather than silently losing mass.
+// panics; lambda >= MaxPoissonLambda panics rather than silently losing
+// mass.
 func Poisson(rng *prng.Source, lambda float64) int64 {
 	switch {
 	case lambda == 0:
 		return 0
 	case !(lambda > 0): // negative or NaN
 		panic(fmt.Sprintf("dist: Poisson requires lambda >= 0, got %v", lambda))
-	case lambda >= 1<<52:
+	case lambda >= MaxPoissonLambda:
 		panic(fmt.Sprintf("dist: Poisson lambda %v too large for exact sampling", lambda))
 	}
 	if lambda < poissonPTRSCutover {

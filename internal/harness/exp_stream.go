@@ -60,12 +60,10 @@ func runE14(rc RunConfig) (*Table, error) {
 		if err != nil {
 			return e14out{}, err
 		}
-		r, err := run(seed,
-			lowsensing.WithBernoulliArrivals(lambda, 0), // unbounded
-			lowsensing.WithJammer(jam),
-			lowsensing.WithMaxSlots(horizon),
-			lowsensing.WithCollector(col),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BernoulliArrivals(lambda, 0), // unbounded
+			MaxSlots: horizon,
+		}, lowsensing.WithJammer(jam), lowsensing.WithCollector(col))
 		return e14out{r: r, col: col}, err
 	})
 	if err != nil {
@@ -102,11 +100,10 @@ func runE15(rc RunConfig) (*Table, error) {
 	// Baseline median latency without jamming calibrates the deadlines.
 	// Latencies stream out through a sink so nothing is retained.
 	baseLats := make([]float64, 0, n)
-	_, err := one(rc, "E15/base",
-		lowsensing.WithBatchArrivals(n),
-		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithPacketSink(latencySink(&baseLats)),
-	)
+	_, err := one(rc, "E15/base", lowsensing.Scenario{
+		Arrivals: lowsensing.BatchArrivals(n),
+		MaxSlots: capFor(n, 0),
+	}, lowsensing.WithPacketSink(latencySink(&baseLats)))
 	if err != nil {
 		return nil, err
 	}
@@ -129,20 +126,20 @@ func runE15(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E15", len(jamRates), func(point, _ int, seed uint64) (e15rep, error) {
 		rate := jamRates[point]
 		lats := make([]float64, 0, n)
-		opts := []lowsensing.Option{
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithMaxSlots(capFor(n, 8*n)),
-			lowsensing.WithPacketSink(latencySink(&lats)),
+		sc := lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			MaxSlots: capFor(n, 8*n),
 		}
+		hooks := []lowsensing.Option{lowsensing.WithPacketSink(latencySink(&lats))}
 		if rate > 0 {
 			// Historical experiment-local jam seed stream (seed^0xe15).
 			jm, err := jamming.NewRandom(rate, 0, seed^0xe15)
 			if err != nil {
 				return e15rep{}, err
 			}
-			opts = append(opts, lowsensing.WithJammer(jm))
+			hooks = append(hooks, lowsensing.WithJammer(jm))
 		}
-		r, err := run(seed, opts...)
+		r, err := run(seed, sc, hooks...)
 		if err != nil {
 			return e15rep{}, err
 		}

@@ -20,7 +20,7 @@ type Event = obs.SlotEvent
 // Tracer records resolved slots. Limit bounds memory (0 means
 // DefaultLimit); once full, further events are dropped and the Dropped
 // counter grows. It implements obs.Recorder — attach it with
-// lowsensing.WithTracer or sim.Params.Recorder — and its Probe method
+// lowsensing.WithRecorder or sim.Params.Recorder — and its Probe method
 // keeps the legacy sim.Params.Probe hookup working.
 type Tracer struct {
 	Limit   int

@@ -3,15 +3,10 @@ package lowsensing
 import (
 	"math"
 	"testing"
-
-	"lowsensing/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(1),
-		WithBatchArrivals(256),
-	).Run()
+	res, err := Scenario{Seed: 1, Arrivals: BatchArrivals(256)}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,41 +23,35 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestMissingArrivalsFails(t *testing.T) {
-	if _, err := NewSimulation(WithSeed(1)).Run(); err == nil {
+	if _, err := (Scenario{Seed: 1}).Run(); err == nil {
 		t.Fatal("missing arrivals accepted")
 	}
 }
 
 func TestBadOptionSurfacesAtRun(t *testing.T) {
-	if _, err := NewSimulation(WithBatchArrivals(-5)).Run(); err == nil {
-		t.Fatal("negative batch accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithLowSensing(Config{})).Run(); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithRandomJamming(2, 0)).Run(); err == nil {
-		t.Fatal("invalid jam rate accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithBurstJamming(5, 5)).Run(); err == nil {
-		t.Fatal("empty burst accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithReactiveJamming(-1, 0)).Run(); err == nil {
-		t.Fatal("bad reactive target accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithBernoulliArrivals(0, 1)).Run(); err == nil {
-		t.Fatal("bad bernoulli rate accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithPoissonArrivals(-1, 1)).Run(); err == nil {
-		t.Fatal("bad poisson rate accepted")
-	}
-	if _, err := NewSimulation(WithQueueArrivals(0, 0.1, 5)).Run(); err == nil {
-		t.Fatal("bad AQT granularity accepted")
+	batch := BatchArrivals(10)
+	for _, tc := range []struct {
+		what string
+		sc   Scenario
+	}{
+		{"negative batch", Scenario{Arrivals: BatchArrivals(-5)}},
+		{"invalid lsb config", Scenario{Arrivals: batch, Protocol: LowSensing(Config{C: 10, WMin: 8, LnPower: 3})}},
+		{"invalid jam rate", Scenario{Arrivals: batch, Jammer: RandomJamming(2, 0)}},
+		{"empty burst", Scenario{Arrivals: batch, Jammer: BurstJamming(5, 5)}},
+		{"bad reactive target", Scenario{Arrivals: batch, Jammer: ReactiveJamming(-1, 0)}},
+		{"bad bernoulli rate", Scenario{Arrivals: BernoulliArrivals(0, 1)}},
+		{"bad poisson rate", Scenario{Arrivals: PoissonArrivals(-1, 1)}},
+		{"bad AQT granularity", Scenario{Arrivals: QueueArrivals(0, 0.1, 5)}},
+	} {
+		if _, err := tc.sc.Run(); err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
 	}
 }
 
 func TestDeterminismViaSeed(t *testing.T) {
 	run := func() Result {
-		res, err := NewSimulation(WithSeed(42), WithBatchArrivals(64), WithRetainPacketStats()).Run()
+		res, err := Scenario{Seed: 42, Arrivals: BatchArrivals(64), RetainPackets: true}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,92 +69,56 @@ func TestDeterminismViaSeed(t *testing.T) {
 }
 
 func TestBaselineOptions(t *testing.T) {
-	beb, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithBinaryExponentialBackoff(), WithRetainPacketStats()).Run()
-	if err != nil {
-		t.Fatal(err)
+	run := func(p ProtocolSpec) Result {
+		t.Helper()
+		res, err := Scenario{Seed: 2, Arrivals: BatchArrivals(128), Protocol: p, RetainPackets: true}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != 128 {
+			t.Fatalf("%s completed = %d", p.Kind, res.Completed)
+		}
+		return res
 	}
-	if beb.Completed != 128 {
-		t.Fatalf("BEB completed = %d", beb.Completed)
-	}
-	// BEB never listens.
-	for _, p := range beb.Packets {
-		if p.Listens != 0 {
-			t.Fatal("BEB listened")
+	// BEB and sawtooth never listen.
+	for _, p := range []ProtocolSpec{BEB(), Sawtooth()} {
+		for _, pkt := range run(p).Packets {
+			if pkt.Listens != 0 {
+				t.Fatalf("%s listened", p.Kind)
+			}
 		}
 	}
-	mwu, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithFullSensingMWU()).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mwu.Completed != 128 {
-		t.Fatalf("MWU completed = %d", mwu.Completed)
-	}
-	saw, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithSawtoothBackoff(), WithRetainPacketStats()).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saw.Completed != 128 {
-		t.Fatalf("Sawtooth completed = %d", saw.Completed)
-	}
-	for _, p := range saw.Packets {
-		if p.Listens != 0 {
-			t.Fatal("sawtooth listened")
-		}
-	}
+	run(MWU())
 }
 
 func TestJammingOptions(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithBurstJamming(0, 256),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
+	run := func(j JammerSpec) Result {
+		t.Helper()
+		res, err := Scenario{Seed: 3, Arrivals: BatchArrivals(64), Jammer: j}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != 64 {
+			t.Fatalf("%s completed = %d", j.Kind, res.Completed)
+		}
+		return res
 	}
-	if res.Completed != 64 {
-		t.Fatalf("completed = %d", res.Completed)
-	}
-	if res.JammedSlots == 0 {
+	if run(BurstJamming(0, 256)).JammedSlots == 0 {
 		t.Fatal("no jams recorded")
 	}
-
-	res2, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithRandomJamming(0.2, 0),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Completed != 64 {
-		t.Fatalf("random-jam completed = %d", res2.Completed)
-	}
-
-	res3, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithReactiveJamming(0, 10),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Completed != 64 {
-		t.Fatalf("reactive completed = %d", res3.Completed)
-	}
-	if res3.JammedSlots != 10 {
-		t.Fatalf("reactive jams = %d, want 10", res3.JammedSlots)
+	run(RandomJamming(0.2, 0))
+	if jams := run(ReactiveJamming(0, 10)).JammedSlots; jams != 10 {
+		t.Fatalf("reactive jams = %d, want 10", jams)
 	}
 }
 
 func TestQueueArrivalsAndCollector(t *testing.T) {
 	col := &Collector{Every: 8}
-	res, err := NewSimulation(
-		WithSeed(4),
-		WithQueueArrivals(256, 0.1, 10),
-		WithCollector(col),
-		WithMaxSlots(2560),
-	).Run()
+	res, err := Scenario{
+		Seed:     4,
+		Arrivals: QueueArrivals(256, 0.1, 10),
+		MaxSlots: 2560,
+	}.Simulation(WithCollector(col)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +133,16 @@ func TestQueueArrivalsAndCollector(t *testing.T) {
 	}
 }
 
+// TestTracerAndMultipleProbes: a Tracer attaches as a Recorder, and
+// several collectors compose; with Every unset, each observes every
+// resolved slot.
 func TestTracerAndMultipleProbes(t *testing.T) {
 	tr := &Tracer{}
-	col := &Collector{}
-	probed := 0
-	res, err := NewSimulation(
-		WithSeed(5),
-		WithBatchArrivals(16),
-		WithTracer(tr),
+	col, col2 := &Collector{}, &Collector{}
+	res, err := Scenario{Seed: 5, Arrivals: BatchArrivals(16)}.Simulation(
+		WithRecorder(tr),
 		WithCollector(col),
-		WithProbe(func(e *sim.Engine, slot int64) { probed++ }),
+		WithCollector(col2),
 	).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -197,39 +150,48 @@ func TestTracerAndMultipleProbes(t *testing.T) {
 	if res.Completed != 16 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
-	if len(tr.Events()) == 0 || len(col.Samples()) == 0 || probed == 0 {
-		t.Fatalf("probes not all invoked: %d events, %d samples, %d raw",
-			len(tr.Events()), len(col.Samples()), probed)
+	if len(tr.Events()) == 0 || len(col.Samples()) == 0 {
+		t.Fatalf("hooks not all invoked: %d events, %d samples", len(tr.Events()), len(col.Samples()))
 	}
-	if len(tr.Events()) != probed {
-		t.Fatalf("tracer %d events vs raw probe %d calls", len(tr.Events()), probed)
+	if len(tr.Events()) != len(col.Samples()) || len(col.Samples()) != len(col2.Samples()) {
+		t.Fatalf("tracer %d events vs collectors %d and %d samples",
+			len(tr.Events()), len(col.Samples()), len(col2.Samples()))
 	}
 }
 
 func TestCustomStationsOption(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(6),
-		WithBatchArrivals(32),
-		WithLowSensing(Config{C: 1, WMin: 128, LnPower: 3}),
-	).Run()
+	cfg := Config{C: 1, WMin: 128, LnPower: 3}
+	f, err := LowSensing(cfg).Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Seed: 6, Arrivals: BatchArrivals(32)}
+	res, err := sc.Simulation(WithStations(f)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 32 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
+	// The same configuration as a spec is the same run: station recycling
+	// (spec kinds only) is indistinguishable from fresh construction.
+	sc.Protocol = LowSensing(cfg)
+	spec, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Energy != res.Energy || spec.ActiveSlots != res.ActiveSlots {
+		t.Fatal("WithStations run differs from the equivalent protocol spec")
+	}
 }
 
-// TestOptionOrderIndependentOfSeed: seeded components (arrival processes,
-// random jammers) are constructed at Run time from the final seed, so
-// WithSeed works in any position. This is a regression test for a bug
-// where WithPoissonArrivals captured the seed at option-apply time and
-// NewSimulation(WithPoissonArrivals(...), WithSeed(7)) silently ran with
-// seed 0.
-func TestOptionOrderIndependentOfSeed(t *testing.T) {
-	run := func(opts ...Option) Result {
+// TestSeedReachesSeededComponents: seeded components (arrival processes,
+// random jammers) are constructed at Run time from Scenario.Seed, so the
+// same seed repeats a run and a different seed changes it.
+func TestSeedReachesSeededComponents(t *testing.T) {
+	run := func(sc Scenario) Result {
 		t.Helper()
-		res, err := NewSimulation(opts...).Run()
+		res, err := sc.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,44 +202,30 @@ func TestOptionOrderIndependentOfSeed(t *testing.T) {
 			a.ActiveSlots == b.ActiveSlots && a.JammedSlots == b.JammedSlots &&
 			a.LastSlot == b.LastSlot && a.Energy == b.Energy
 	}
-
-	seedFirst := run(WithSeed(7), WithPoissonArrivals(0.2, 200))
-	seedLast := run(WithPoissonArrivals(0.2, 200), WithSeed(7))
-	if !same(seedFirst, seedLast) {
-		t.Fatal("Poisson arrivals: option order changed the run")
-	}
-	// And the seed must actually take effect: seed 0 gives a different
-	// arrival pattern (the pre-fix failure mode was silently running with
-	// seed 0 whenever WithSeed came last).
-	seedZero := run(WithPoissonArrivals(0.2, 200))
-	if same(seedLast, seedZero) {
-		t.Fatal("WithSeed(7) after WithPoissonArrivals had no effect")
-	}
-
-	jamFirst := run(WithSeed(9), WithBatchArrivals(64), WithRandomJamming(0.2, 0))
-	jamLast := run(WithRandomJamming(0.2, 0), WithBatchArrivals(64), WithSeed(9))
-	if !same(jamFirst, jamLast) {
-		t.Fatal("random jamming: option order changed the run")
-	}
-
-	bernFirst := run(WithSeed(11), WithBernoulliArrivals(0.1, 100))
-	bernLast := run(WithBernoulliArrivals(0.1, 100), WithSeed(11))
-	if !same(bernFirst, bernLast) {
-		t.Fatal("Bernoulli arrivals: option order changed the run")
-	}
-
-	aqtFirst := run(WithSeed(13), WithQueueArrivals(128, 0.2, 4))
-	aqtLast := run(WithQueueArrivals(128, 0.2, 4), WithSeed(13))
-	if !same(aqtFirst, aqtLast) {
-		t.Fatal("AQT arrivals: option order changed the run")
+	for _, sc := range []Scenario{
+		{Arrivals: PoissonArrivals(0.2, 200)},
+		{Arrivals: BernoulliArrivals(0.1, 100)},
+		{Arrivals: QueueArrivals(128, 0.2, 4)},
+		{Arrivals: BatchArrivals(64), Jammer: RandomJamming(0.2, 0)},
+	} {
+		sc.Seed = 7
+		a, b := run(sc), run(sc)
+		if !same(a, b) {
+			t.Fatalf("%+v: same seed, different runs", sc)
+		}
+		sc.Seed = 0
+		if same(a, run(sc)) {
+			t.Fatalf("%+v: seed 7 and seed 0 ran identically", sc)
+		}
 	}
 }
 
 // TestPacketRetentionIsOptIn: default runs carry only the streaming
-// accumulators; WithRetainPacketStats materializes Packets and
+// accumulators; Scenario.RetainPackets materializes Packets and
 // WithPacketSink streams every packet without retention.
 func TestPacketRetentionIsOptIn(t *testing.T) {
-	def, err := NewSimulation(WithSeed(1), WithBatchArrivals(64)).Run()
+	sc := Scenario{Seed: 1, Arrivals: BatchArrivals(64)}
+	def, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +237,7 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 	}
 
 	var sunk []PacketStats
-	res, err := NewSimulation(
-		WithSeed(1),
-		WithBatchArrivals(64),
-		WithPacketSink(func(p PacketStats) { sunk = append(sunk, p) }),
-	).Run()
+	res, err := sc.Simulation(WithPacketSink(func(p PacketStats) { sunk = append(sunk, p) })).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +248,8 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 		t.Fatalf("sink saw %d of %d packets", len(sunk), res.Arrived)
 	}
 
-	ret, err := NewSimulation(WithSeed(1), WithBatchArrivals(64), WithRetainPacketStats()).Run()
+	sc.RetainPackets = true
+	ret, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

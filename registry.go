@@ -130,7 +130,7 @@ var (
 )
 
 // RegisterProtocol makes a protocol kind resolvable everywhere specs are:
-// ParseScenario, ParseSweepSpec, Sweep.VaryProtocol, WithProtocol, and the
+// ParseScenario, ParseSweepSpec, Sweep.VaryProtocol, Scenario.Run, and the
 // CLIs. Register from an init function; registering a duplicate kind, an
 // empty kind, or a nil factory panics. The doc string (one line) is shown
 // by ProtocolKinds and the CLIs' -kinds listing.

@@ -159,13 +159,16 @@ func TestRegisterPanics(t *testing.T) {
 // map must stay local to their grid point. Regression test — Points() used
 // to shallow-copy the base, so every point shared one Params map and each
 // patch overwrote all earlier points (and the base itself).
+//
+// The params-reading kind is fixedprob (registered in
+// example_register_test.go); built-in kinds reject params.
 func TestSweepPointParamsIsolated(t *testing.T) {
 	ss, err := lowsensing.ParseSweepSpec([]byte(`{
 		"base": {"arrivals": {"kind": "batch", "n": 8},
-		         "protocol": {"kind": "lsb", "params": {"w0": 2}}},
-		"axes": [{"name": "w", "variants": [
-			{"label": "w4", "patch": {"protocol": {"params": {"w0": 4}}}},
-			{"label": "w8", "patch": {"protocol": {"params": {"w0": 8}}}}
+		         "protocol": {"kind": "fixedprob", "params": {"p": 0.5}}},
+		"axes": [{"name": "p", "variants": [
+			{"label": "p4", "patch": {"protocol": {"params": {"p": 0.25}}}},
+			{"label": "p8", "patch": {"protocol": {"params": {"p": 0.125}}}}
 		]}]
 	}`))
 	if err != nil {
@@ -176,20 +179,20 @@ func TestSweepPointParamsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := sw.Points()
-	if got := pts[0].Scenario.Protocol.Params["w0"]; got != 4 {
-		t.Fatalf("point w4 has w0 = %v (patch leaked across points)", got)
+	if got := pts[0].Scenario.Protocol.Params["p"]; got != 0.25 {
+		t.Fatalf("point p4 has p = %v (patch leaked across points)", got)
 	}
-	if got := pts[1].Scenario.Protocol.Params["w0"]; got != 8 {
-		t.Fatalf("point w8 has w0 = %v", got)
+	if got := pts[1].Scenario.Protocol.Params["p"]; got != 0.125 {
+		t.Fatalf("point p8 has p = %v", got)
 	}
-	if got := ss.Base.Protocol.Params["w0"]; got != 2 {
-		t.Fatalf("base mutated: w0 = %v", got)
+	if got := ss.Base.Protocol.Params["p"]; got != 0.5 {
+		t.Fatalf("base mutated: p = %v", got)
 	}
 }
 
 // TestRegisteredKindResolvesEverywhere: a kind registered by this test —
 // an outside package from the module's point of view — resolves through
-// specs, scenarios, option constructors, and sweep axes like a built-in.
+// specs, scenarios, and sweep axes like a built-in.
 func TestRegisteredKindResolvesEverywhere(t *testing.T) {
 	lowsensing.RegisterProtocol("testproto", "test-only protocol", noopFactory)
 

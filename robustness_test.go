@@ -564,31 +564,30 @@ func TestSweepChurnFaults(t *testing.T) {
 	}
 }
 
-func TestWithChurnFaultsClassesOptions(t *testing.T) {
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(2),
-		lowsensing.WithArrivalsSpec(lowsensing.BatchArrivals(12)),
-		lowsensing.WithMaxSlots(1<<14),
-		lowsensing.WithChurn(lowsensing.PoissonChurn(0.05, 20, 0.04)),
-		lowsensing.WithFaults(lowsensing.SensingFaults(0.1, 0.05)),
-	).Run()
+// TestChurnFaultsAndClassHooks: churn and faults compose on one scenario,
+// and observer hooks attach to a multi-class run without changing it.
+func TestChurnFaultsAndClassHooks(t *testing.T) {
+	res, err := lowsensing.Scenario{
+		Seed:     2,
+		Arrivals: lowsensing.BatchArrivals(12),
+		MaxSlots: 1 << 14,
+		Churn:    lowsensing.PoissonChurn(0.05, 20, 0.04),
+		Faults:   lowsensing.SensingFaults(0.1, 0.05),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Abandoned == 0 {
-		t.Fatal("WithChurn had no effect")
+		t.Fatal("Churn had no effect")
 	}
 	if res.Faults.Corrupted == 0 {
-		t.Fatal("WithFaults had no effect")
+		t.Fatal("Faults had no effect")
 	}
 	checkConservation(t, res)
 
 	mc := multiclassScenario()
-	res2, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(mc.Seed),
-		lowsensing.WithMaxSlots(mc.MaxSlots),
-		lowsensing.WithClasses(mc.Classes...),
-	).Run()
+	var sunk int64
+	res2, err := mc.Simulation(lowsensing.WithPacketSink(func(lowsensing.PacketStats) { sunk++ })).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,6 +596,9 @@ func TestWithChurnFaultsClassesOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res2, res3) {
-		t.Fatalf("WithClasses differs from Scenario.Classes:\n%+v\nvs\n%+v", res2, res3)
+		t.Fatalf("packet sink changed the multi-class run:\n%+v\nvs\n%+v", res2, res3)
+	}
+	if sunk != res3.Arrived {
+		t.Fatalf("sink saw %d of %d packets", sunk, res3.Arrived)
 	}
 }

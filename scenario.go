@@ -8,11 +8,11 @@ import (
 )
 
 // Scenario is a declarative, serializable description of one simulation
-// run: arrivals, protocol, jammer, slot cap, retention, and seed. It is the
-// value-type counterpart of the functional options — every option that
-// configures something expressible as data writes into the Simulation's
-// underlying Scenario, and FromScenario goes the other way — so specs can
-// live in JSON files, be diffed, and be swept over.
+// run: arrivals, protocol, jammer, churn, faults, slot cap, retention, and
+// seed. It is the one way to configure a run, so specs can live in JSON
+// files, be diffed, and be swept over; only what cannot be written as data
+// (custom instances, observers, sinks) attaches as an Option hook through
+// Simulation.
 //
 // A Scenario is pure data: Run constructs every stateful component
 // (arrival sources, jammers, stations) fresh from the spec and the seed, so
@@ -78,10 +78,15 @@ func (sc Scenario) clone() Scenario {
 	return sc
 }
 
-// Simulation builds a runnable Simulation from the scenario; extra options
-// (probes, sinks, custom components) may be layered on top.
-func (sc Scenario) Simulation(opts ...Option) *Simulation {
-	return NewSimulation(append([]Option{FromScenario(sc)}, opts...)...)
+// Simulation builds a runnable Simulation from the scenario with the given
+// hooks (custom components, collectors, recorders, sinks) attached. A hook
+// that supplies a custom component replaces the matching spec field.
+func (sc Scenario) Simulation(hooks ...Option) *Simulation {
+	s := &Simulation{sc: sc}
+	for _, hook := range hooks {
+		hook(s)
+	}
+	return s
 }
 
 // Run executes the scenario once. All stateful components are constructed
@@ -92,6 +97,9 @@ func (sc Scenario) Run() (Result, error) { return sc.Simulation().Run() }
 // builds (and discards) the seeded components, so a nil error means Run
 // cannot fail before the engine starts.
 func (sc Scenario) Validate() error {
+	if err := validateMaxSlots(sc.MaxSlots); err != nil {
+		return err
+	}
 	if len(sc.Classes) == 0 {
 		if _, err := sc.Arrivals.Source(sc.Seed); err != nil {
 			return err
@@ -104,6 +112,15 @@ func (sc Scenario) Validate() error {
 		return err
 	}
 	return sc.validateRobustness()
+}
+
+// validateMaxSlots rejects a negative slot cap, which the engine would
+// refuse only once the run starts.
+func validateMaxSlots(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("lowsensing: max_slots must be >= 0 (0 means the engine default), got %d", n)
+	}
+	return nil
 }
 
 // ParseScenario decodes a JSON scenario strictly (unknown fields are
@@ -156,7 +173,8 @@ type ArrivalsSpec struct {
 	Path string `json:"path,omitempty"`
 	// Params carries free-form numeric parameters for registered
 	// (non-built-in) kinds, so custom arrival processes are serializable
-	// without new spec fields. Built-in kinds ignore it.
+	// without new spec fields. Built-in kinds take their typed fields and
+	// reject it.
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
@@ -193,7 +211,7 @@ func FileArrivals(path string) ArrivalsSpec { return ArrivalsSpec{Kind: Arrivals
 // spec'd process feed WithArrivals or a custom engine.
 func (a ArrivalsSpec) Source(seed uint64) (ArrivalSource, error) {
 	if a.Kind == "" {
-		return nil, fmt.Errorf("lowsensing: no arrival process configured (use WithBatchArrivals or friends)")
+		return nil, fmt.Errorf("lowsensing: no arrival process configured (set Scenario.Arrivals, e.g. BatchArrivals(n))")
 	}
 	factory, err := arrivalsRegistry.lookup(a.Kind)
 	if err != nil {
@@ -239,13 +257,13 @@ type ProtocolSpec struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// Params carries free-form numeric parameters for registered
 	// (non-built-in) kinds, so custom protocols are serializable without
-	// new spec fields. Built-in kinds ignore it.
+	// new spec fields. Built-in kinds take their typed fields and reject it.
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
 // LowSensing describes LOW-SENSING BACKOFF with the given parameters. A
-// zero Config means DefaultConfig (prefer WithLowSensing when configuring a
-// Simulation directly: it validates the parameters eagerly).
+// zero Config means DefaultConfig; any other Config must pass
+// Config.Validate, which Scenario.Validate and Run check.
 func LowSensing(cfg Config) ProtocolSpec { return ProtocolSpec{Kind: ProtocolLSB, Config: cfg} }
 
 // BEB describes classic binary exponential backoff.
@@ -314,7 +332,7 @@ type JammerSpec struct {
 	Target int64 `json:"target,omitempty"`
 	// Params carries free-form numeric parameters for registered
 	// (non-built-in) kinds, so custom jammers are serializable without new
-	// spec fields. Built-in kinds ignore it.
+	// spec fields. Built-in kinds take their typed fields and reject it.
 	Params map[string]float64 `json:"params,omitempty"`
 }
 

@@ -84,9 +84,9 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScenarioMatchesOptions: a scenario and the equivalent option-built
-// simulation are the same run, and Simulation.Scenario round-trips the
-// options back into the spec.
+// TestScenarioMatchesOptions: a component hook replaces the matching spec
+// field (Simulation.Scenario shows it cleared), and hooks wrapping the
+// instances the specs build are the same run as the specs themselves.
 func TestScenarioMatchesOptions(t *testing.T) {
 	sc := lowsensing.Scenario{
 		Seed:     9,
@@ -95,26 +95,40 @@ func TestScenarioMatchesOptions(t *testing.T) {
 		Jammer:   lowsensing.RandomJamming(0.1, 0),
 		MaxSlots: 1 << 19,
 	}
-	fromOpts := lowsensing.NewSimulation(
-		lowsensing.WithSeed(9),
-		lowsensing.WithBernoulliArrivals(0.15, 256),
-		lowsensing.WithBinaryExponentialBackoff(),
-		lowsensing.WithRandomJamming(0.1, 0),
-		lowsensing.WithMaxSlots(1<<19),
+	if got := sc.Simulation().Scenario(); !reflect.DeepEqual(got, sc) {
+		t.Fatalf("hookless simulation altered the scenario:\n%+v\nvs\n%+v", got, sc)
+	}
+	src, err := sc.Arrivals.Source(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := sc.Protocol.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jam, err := sc.Jammer.Jammer(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := sc.Simulation(
+		lowsensing.WithArrivals(src),
+		lowsensing.WithStations(factory),
+		lowsensing.WithJammer(jam),
 	)
-	if got := fromOpts.Scenario(); !reflect.DeepEqual(got, sc) {
-		t.Fatalf("options did not reduce to the scenario:\n%+v\nvs\n%+v", got, sc)
+	want := lowsensing.Scenario{Seed: 9, MaxSlots: 1 << 19}
+	if got := hooked.Scenario(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hooks did not clear the replaced spec fields:\n%+v\nvs\n%+v", got, want)
 	}
 	a, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fromOpts.Run()
+	b, err := hooked.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameResult(a, b) {
-		t.Fatalf("scenario and option runs differ:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("scenario and hooked runs differ:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -141,6 +155,7 @@ func TestScenarioRerun(t *testing.T) {
 }
 
 func TestScenarioValidate(t *testing.T) {
+	params := map[string]float64{"w0": -1}
 	bad := []lowsensing.Scenario{
 		{},                                      // no arrivals
 		{Arrivals: lowsensing.BatchArrivals(0)}, // empty batch
@@ -150,6 +165,14 @@ func TestScenarioValidate(t *testing.T) {
 		{Arrivals: lowsensing.BatchArrivals(8), Protocol: lowsensing.LowSensing(lowsensing.Config{C: 10, WMin: 8, LnPower: 3})}, // invalid lsb params
 		{Arrivals: lowsensing.BatchArrivals(8), Jammer: lowsensing.JammerSpec{Kind: "nope"}},                                    // unknown jammer
 		{Arrivals: lowsensing.BatchArrivals(8), Jammer: lowsensing.BurstJamming(5, 5)},                                          // empty burst
+		{Arrivals: lowsensing.BatchArrivals(8), MaxSlots: -5},                                                                   // negative slot cap
+		{Arrivals: lowsensing.PoissonArrivals(1e308, 1)},                                                                        // unsampleable rate
+		// Built-in kinds take their typed fields and reject params; one
+		// case per registry. Registered kinds keep reading params (see
+		// ExampleRegisterProtocol and TestSweepPointParamsIsolated).
+		{Arrivals: lowsensing.ArrivalsSpec{Kind: "batch", N: 8, Params: params}},
+		{Arrivals: lowsensing.BatchArrivals(8), Protocol: lowsensing.ProtocolSpec{Kind: "beb", Params: params}},
+		{Arrivals: lowsensing.BatchArrivals(8), Jammer: lowsensing.JammerSpec{Kind: "burst", To: 8, Params: params}},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -159,6 +182,10 @@ func TestScenarioValidate(t *testing.T) {
 			t.Fatalf("bad scenario %d ran: %+v", i, sc)
 		}
 	}
+	err := bad[len(bad)-2].Validate()
+	if msg := err.Error(); !strings.Contains(msg, `"beb"`) || !strings.Contains(msg, "typed fields") {
+		t.Fatalf("params error does not name the kind and its typed fields: %v", err)
+	}
 	good := lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(8)}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -166,14 +193,19 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestParseScenarioStrict(t *testing.T) {
-	if _, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch", "n": 8}, "typo_field": 1}`)); err == nil {
-		t.Fatal("unknown top-level field accepted")
+	rejected := map[string]string{
+		"unknown top-level field": `{"arrivals": {"kind": "batch", "n": 8}, "typo_field": 1}`,
+		"unknown nested field":    `{"arrivals": {"kind": "batch", "count": 8}}`,
+		"invalid scenario":        `{"arrivals": {"kind": "batch"}}`,
+		// Run would reject both (the first by panicking in the Poisson
+		// sampler), so parsing must.
+		"unsampleable poisson rate": `{"arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
+		"negative max_slots":        `{"arrivals": {"kind": "batch", "n": 4}, "max_slots": -5}`,
 	}
-	if _, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch", "count": 8}}`)); err == nil {
-		t.Fatal("unknown nested field accepted")
-	}
-	if _, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch"}}`)); err == nil {
-		t.Fatal("invalid scenario accepted")
+	for name, spec := range rejected {
+		if _, err := lowsensing.ParseScenario([]byte(spec)); err == nil {
+			t.Errorf("%s accepted: %s", name, spec)
+		}
 	}
 	sc, err := lowsensing.ParseScenario([]byte(`{
 		"seed": 1,
@@ -236,10 +268,7 @@ func TestSimulationReuse(t *testing.T) {
 		}
 		return s
 	}
-	sim := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithArrivals(mkArrivals()),
-	)
+	sim := lowsensing.Scenario{Seed: 3}.Simulation(lowsensing.WithArrivals(mkArrivals()))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +281,7 @@ func TestSimulationReuse(t *testing.T) {
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	sim2 := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithBatchArrivals(16),
-		lowsensing.WithJammer(jam),
-	)
+	sim2 := base.Simulation(lowsensing.WithJammer(jam))
 	if _, err := sim2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +298,7 @@ func TestSimulationReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := lowsensing.NewSimulation(lowsensing.WithJammer(jam2)) // no arrivals
+	broken := lowsensing.Scenario{}.Simulation(lowsensing.WithJammer(jam2)) // no arrivals
 	for i := 0; i < 2; i++ {
 		_, err := broken.Run()
 		if err == nil {
@@ -285,7 +310,9 @@ func TestSimulationReuse(t *testing.T) {
 	}
 
 	// Spec-configured simulations rebuild their components and may re-run.
-	sim3 := lowsensing.NewSimulation(lowsensing.WithSeed(3), lowsensing.WithBatchArrivals(16), lowsensing.WithReactiveJamming(0, 8))
+	withSpec := base
+	withSpec.Jammer = lowsensing.ReactiveJamming(0, 8)
+	sim3 := withSpec.Simulation()
 	a, err := sim3.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -296,5 +323,35 @@ func TestSimulationReuse(t *testing.T) {
 	}
 	if !sameResult(a, b) {
 		t.Fatal("spec-backed re-run differs")
+	}
+}
+
+// TestCustomHooksRejectClasses: each class of a multi-class scenario brings
+// its own arrivals and protocol, so custom arrival or station hooks cannot
+// combine with Classes; observer hooks can (see
+// TestChurnFaultsAndClassHooks).
+func TestCustomHooksRejectClasses(t *testing.T) {
+	mc := lowsensing.Scenario{
+		Seed: 1,
+		Classes: []lowsensing.ClassSpec{
+			{Name: "a", Arrivals: lowsensing.BatchArrivals(4)},
+		},
+	}
+	src, err := lowsensing.BatchArrivals(4).Source(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := lowsensing.BEB().Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hook := range map[string]lowsensing.Option{
+		"WithArrivals": lowsensing.WithArrivals(src),
+		"WithStations": lowsensing.WithStations(factory),
+	} {
+		_, err := mc.Simulation(hook).Run()
+		if err == nil || !strings.Contains(err.Error(), "Classes") {
+			t.Fatalf("%s combined with Classes: err = %v", name, err)
+		}
 	}
 }

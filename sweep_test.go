@@ -268,6 +268,7 @@ func TestSweepSpecRejectsBadInput(t *testing.T) {
 		"unknown top field":   `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "nope": 1}`,
 		"unknown patch field": `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"patch": {"arrivalz": {}}}]}]}`,
 		"invalid base":        `{"base": {"arrivals": {"kind": "batch"}}}`,
+		"negative base cap":   `{"base": {"arrivals": {"kind": "batch", "n": 8}, "max_slots": -5}}`,
 		"invalid point":       `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"patch": {"arrivals": {"n": -1}}}]}]}`,
 		"empty axis":          `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": []}]}`,
 	}
