@@ -130,7 +130,8 @@ type ReusableStation interface {
 }
 
 // Windowed is implemented by stations that expose a backoff window, which
-// probes use to compute contention and the paper's potential function.
+// engine-sampling recorders (the metrics Collector) use to compute
+// contention, the paper's potential function, and the window distribution.
 type Windowed interface {
 	Window() float64
 }

@@ -99,9 +99,12 @@ type Config struct {
 	// channel's derived seed. Jammers are stateful; never share one
 	// instance across channels.
 	NewJammer func(ch int, seed uint64) (channel.Jammer, error)
-	// NewRecorder, if non-nil, builds channel ch's obs.Recorder. Each
-	// channel's recorder receives that channel's event stream; recorders
-	// are flushed (obs.Flush) when their channel finishes.
+	// NewRecorder, if non-nil, builds channel ch's obs.Recorder. Run calls
+	// it once per channel, in channel order on the calling goroutine,
+	// before the first slot. Each channel's recorder receives that
+	// channel's event stream and is flushed (obs.Flush) when its channel
+	// finishes. A recorder may be shared by channels unless it (or a leaf
+	// inside it) binds to its engine (sim.EngineBound); Run rejects that.
 	NewRecorder func(ch int) obs.Recorder
 	// Lifetime, if non-nil, gives packets finite patience (population
 	// churn): it is consulted at injection with the packet's

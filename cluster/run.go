@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"lowsensing/channel"
@@ -36,10 +37,48 @@ func Run(cfg Config) (Result, error) {
 	if maxSlots == 0 {
 		maxSlots = sim.DefaultMaxSlots
 	}
-	if cfg.Router.NeedsBacklog() || cfg.forceEpoch {
-		return runEpoch(cfg, maxSlots)
+	recs, err := channelRecorders(&cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	return runPreRouted(cfg, maxSlots)
+	if cfg.Router.NeedsBacklog() || cfg.forceEpoch {
+		return runEpoch(cfg, maxSlots, recs)
+	}
+	return runPreRouted(cfg, maxSlots, recs)
+}
+
+// channelRecorders builds every channel's recorder up front (nil when the
+// run is unobserved) and rejects a run in which one engine-bound recorder
+// — a leaf implementing sim.EngineBound, such as a metrics.Collector — is
+// reachable from two channels: each engine would bind it in turn, and it
+// would sample whichever engine bound it last.
+func channelRecorders(cfg *Config) ([]obs.Recorder, error) {
+	if cfg.NewRecorder == nil {
+		return nil, nil
+	}
+	recs := make([]obs.Recorder, cfg.Channels)
+	owner := map[sim.EngineBound]int{}
+	for ch := range recs {
+		recs[ch] = cfg.NewRecorder(ch)
+		var err error
+		obs.Walk(recs[ch], func(r obs.Recorder) {
+			b, ok := r.(sim.EngineBound)
+			// A leaf of an incomparable type cannot be a map key; such a
+			// value cannot be told apart from a copy anyway.
+			if !ok || err != nil || !reflect.TypeOf(b).Comparable() {
+				return
+			}
+			if prev, seen := owner[b]; seen && prev != ch {
+				err = fmt.Errorf("cluster: channels %d and %d share one engine-bound recorder (%T); give each channel its own", prev, ch, r)
+				return
+			}
+			owner[b] = ch
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
 }
 
 // view implements View. engines is nil in the pre-routed path, where
@@ -60,12 +99,21 @@ func (v *view) Backlog(ch int) int64 {
 	return v.engines[ch].Backlog()
 }
 
-// channelParams builds channel ch's engine params from the shared config
-// and the channel's derived seed.
-func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource) (sim.Params, error) {
+// recorderAt returns channel ch's recorder, or nil on an unobserved run.
+func recorderAt(recs []obs.Recorder, ch int) obs.Recorder {
+	if recs == nil {
+		return nil
+	}
+	return recs[ch]
+}
+
+// channelParams builds channel ch's engine params from the shared config,
+// the channel's derived seed and its recorder (nil when unobserved).
+func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource, rec obs.Recorder) (sim.Params, error) {
 	p := sim.Params{
 		Seed:            seed,
 		Arrivals:        src,
+		Recorder:        rec,
 		NewStation:      cfg.NewStation,
 		MaxSlots:        cfg.MaxSlots,
 		Lifetime:        cfg.Lifetime,
@@ -79,9 +127,6 @@ func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource) 
 			return sim.Params{}, fmt.Errorf("cluster: channel %d jammer: %w", ch, err)
 		}
 		p.Jammer = j
-	}
-	if cfg.NewRecorder != nil {
-		p.Recorder = cfg.NewRecorder(ch)
 	}
 	return p, nil
 }
@@ -100,7 +145,7 @@ func routeOne(cfg *Config, v *view, id, slot int64) (int, error) {
 
 // runPreRouted routes the whole arrival stream up front, then runs every
 // channel to completion as one independent job.
-func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
+func runPreRouted(cfg Config, maxSlots int64, recs []obs.Recorder) (Result, error) {
 	C := cfg.Channels
 	v := &view{channels: C, routed: make([]int64, C)}
 	sched := make([][]arrivals.TraceBatch, C)
@@ -133,7 +178,7 @@ func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 				if err != nil {
 					return sim.Result{}, err
 				}
-				p, err := channelParams(&cfg, ch, seed, src)
+				p, err := channelParams(&cfg, ch, seed, src, recorderAt(recs, ch))
 				if err != nil {
 					return sim.Result{}, err
 				}
@@ -165,20 +210,18 @@ func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 // arrival slots, so the router reads exact live backlogs. Channels are
 // sharded round-robin across W persistent workers; every epoch is a
 // step-all barrier, then the coordinator routes and injects the batch.
-func runEpoch(cfg Config, maxSlots int64) (Result, error) {
+func runEpoch(cfg Config, maxSlots int64, recs []obs.Recorder) (Result, error) {
 	C := cfg.Channels
 	engines := make([]*sim.Engine, C)
-	recs := make([]obs.Recorder, C)
 	for ch := 0; ch < C; ch++ {
 		src, err := arrivals.NewTrace(nil)
 		if err != nil {
 			return Result{}, err
 		}
-		p, err := channelParams(&cfg, ch, ChannelSeed(cfg.Seed, ch), src)
+		p, err := channelParams(&cfg, ch, ChannelSeed(cfg.Seed, ch), src, recorderAt(recs, ch))
 		if err != nil {
 			return Result{}, err
 		}
-		recs[ch] = p.Recorder
 		if engines[ch], err = sim.NewEngine(p); err != nil {
 			return Result{}, err
 		}
@@ -284,7 +327,7 @@ func (x *epochExec) apply(ch int, c epochCmd) error {
 	if err != nil {
 		return err
 	}
-	if r := x.recs[ch]; r != nil {
+	if r := recorderAt(x.recs, ch); r != nil {
 		if err := obs.Flush(r); err != nil {
 			return err
 		}

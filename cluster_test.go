@@ -311,3 +311,51 @@ func TestSweepClusterJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRejectsSharedBoundRecorder: a recorder that binds to its
+// engine (a Collector) serves one engine, so a cluster run that would hand
+// one to two channels fails before its first slot — through
+// ClusterScenario.RunObserved and through a cluster sweep's per-job
+// recorder alike. One Collector per channel is fine.
+func TestClusterRejectsSharedBoundRecorder(t *testing.T) {
+	for _, router := range []string{lowsensing.RouterRoundRobin, lowsensing.RouterLeastBacklog} {
+		sc := lowsensing.ClusterScenario{
+			Seed:     3,
+			Channels: 3,
+			Arrivals: lowsensing.BatchArrivals(24),
+			Router:   lowsensing.RouterSpec{Kind: router},
+		}
+		shared := &lowsensing.Collector{}
+		_, err := sc.RunObserved(func(ch int) lowsensing.Recorder {
+			return obs.Multi(obs.NewRing(1), obs.EveryN(shared, 2))
+		})
+		if err == nil || !strings.Contains(err.Error(), "share one engine-bound recorder") {
+			t.Fatalf("%s: shared Collector: err = %v", router, err)
+		}
+		if len(shared.Samples()) != 0 {
+			t.Fatalf("%s: rejected run still sampled %d slots", router, len(shared.Samples()))
+		}
+
+		own := make([]*lowsensing.Collector, sc.Channels)
+		r, err := sc.RunObserved(func(ch int) lowsensing.Recorder {
+			own[ch] = &lowsensing.Collector{}
+			return own[ch]
+		})
+		if err != nil {
+			t.Fatalf("%s: one Collector per channel: %v", router, err)
+		}
+		for ch, col := range own {
+			s := col.Samples()
+			if len(s) == 0 || s[len(s)-1].Completed != r.PerChannel[ch].Completed {
+				t.Fatalf("%s: channel %d collector does not follow its own engine", router, ch)
+			}
+		}
+	}
+
+	sw := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(24)}).
+		Cluster(2, lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin}).
+		Observe(func(lowsensing.Point, int) lowsensing.Recorder { return &lowsensing.Collector{} })
+	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "share one engine-bound recorder") {
+		t.Fatalf("cluster sweep with a Collector per job: err = %v", err)
+	}
+}

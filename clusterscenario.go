@@ -213,9 +213,13 @@ func (cs ClusterScenario) Run() (ClusterResult, error) {
 }
 
 // RunObserved executes the scenario with a per-channel recorder built by
-// mk (called once per channel with the channel index; a nil return leaves
-// that channel unobserved). Each recorder receives its own channel's
-// event stream and is flushed when the channel finishes. Observed runs
+// mk (called once per channel with the channel index, before the first
+// slot; a nil return leaves that channel unobserved). Each recorder
+// receives its own channel's event stream and is flushed when the channel
+// finishes. mk may return one recorder for several channels unless it
+// samples engine state (a Collector, or any recorder implementing the
+// engine's Bind contract): such a recorder serves one engine, and the run
+// fails before its first slot if two channels share it. Observed runs
 // take the engine's general resolver, like single-channel observed runs.
 func (cs ClusterScenario) RunObserved(mk func(ch int) Recorder) (ClusterResult, error) {
 	cfg, err := cs.config()

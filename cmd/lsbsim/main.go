@@ -28,6 +28,14 @@
 // Jain fairness index, and one line per channel. -trace then multiplexes
 // all channels into one NDJSON file (run labels ch00, ch01, ...), and
 // -metrics writes the cluster-wide windowed roll-up.
+//
+// -trace picks its format from the file name: run.csv writes CSV,
+// run.txt the ASCII slot timeline of the paper's Figure 1 (S success,
+// x collision, . heard-empty, ! jammed, (+n) n unresolved slots), and any
+// other name NDJSON:
+//
+//	lsbsim -n 8 -seed 3 -trace run.txt
+//	lsbsim -n 6 -seed 2 -jam burst -jamfrom 0 -jamto 64 -trace run.txt
 package main
 
 import (
@@ -95,9 +103,9 @@ func run(args []string, out io.Writer) error {
 		router    = fs.String("router", "", "cluster routing policy for -channels >= 2 (default random; see -kinds)")
 		specFile  = fs.String("spec", "", "JSON scenario file; replaces the flag-built scenario (see lowsensing.Scenario)")
 		kinds     = fs.Bool("kinds", false, "list every registered protocol/arrival/jammer/router kind and exit")
-		traceOut  = fs.String("trace", "", "write the structured trace (slot + packet events) to this file as NDJSON (.csv for CSV)")
+		traceOut  = fs.String("trace", "", "write the structured trace (slot + packet events) to this file as NDJSON (.csv for CSV, .txt for the ASCII slot timeline)")
 		metrics_  = fs.String("metrics", "", "write the windowed time-series to this file as NDJSON (.csv for CSV)")
-		window    = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
+		window    = fs.Int64("window", 0, "metrics window size in slots (0 = 1024; requires -metrics)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -107,6 +115,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *kinds {
 		return lowsensing.WriteKinds(out)
+	}
+	if err := checkOutputFlags(fs, *traceOut, *metrics_, *window, *channels > 1); err != nil {
+		return err
 	}
 
 	var (
@@ -155,6 +166,14 @@ func run(args []string, out io.Writer) error {
 	// a run without them pays one predictable branch per slot.
 	var opts []lowsensing.Option
 	var finishers []func() error
+	finish := func(err error) error {
+		for _, done := range finishers {
+			if ferr := done(); err == nil {
+				err = ferr
+			}
+		}
+		return err
+	}
 	if *traceOut != "" {
 		sink, done, err := openSink(*traceOut)
 		if err != nil {
@@ -166,9 +185,10 @@ func run(args []string, out io.Writer) error {
 	if *metrics_ != "" {
 		sink, done, err := openSink(*metrics_)
 		if err != nil {
-			return err
+			// Close the trace file opened above.
+			return finish(err)
 		}
-		ws := obs.NewWindows(*window, sink.RecordWindow)
+		ws := obs.NewWindows(*window, sink.(windowSink).RecordWindow)
 		opts = append(opts, lowsensing.WithRecorder(ws))
 		finishers = append(finishers, func() error {
 			if err := ws.Flush(); err != nil {
@@ -179,12 +199,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	r, err := sc.Simulation(opts...).Run()
-	for _, done := range finishers {
-		if ferr := done(); err == nil {
-			err = ferr
-		}
-	}
-	if err != nil {
+	if err := finish(err); err != nil {
 		return err
 	}
 
@@ -284,15 +299,11 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels
 	}
 
 	// Per-channel recorder factories; each channel gets an obs.Multi over
-	// one recorder per requested side channel. The factories may be
-	// invoked from worker goroutines, so they only index preallocated
-	// state or construct sinks over a sync writer.
+	// one recorder per requested side channel. The channels' engines may
+	// run on worker goroutines, so the trace sinks share a sync writer.
 	var mks []func(ch int) lowsensing.Recorder
 	var finishers []func() error
 	if traceOut != "" {
-		if strings.HasSuffix(traceOut, ".csv") {
-			return fmt.Errorf("-trace in cluster mode multiplexes NDJSON run labels; .csv is not supported")
-		}
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return err
@@ -359,7 +370,7 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels
 			series[ch] = w.Stats()
 		}
 		for _, ws := range obs.MergeWindowSeries(series...) {
-			sink.RecordWindow(ws)
+			sink.(windowSink).RecordWindow(ws)
 		}
 		if err := done(); err != nil {
 			return err
@@ -541,29 +552,57 @@ func specFlagConflict(fs *flag.FlagSet) string {
 	return conflict
 }
 
-// recordSink is the slice of the obs sink surface lsbsim drives: raw
-// events, windowed series, run labeling (cluster mode tags each channel's
-// stream), and a flush. Both obs.NDJSON and obs.CSV satisfy it.
-type recordSink interface {
-	obs.Recorder
-	RecordWindow(obs.WindowStat)
-	SetRun(string)
-	Flush() error
+// checkOutputFlags rejects observability flags that would otherwise be
+// ignored or fail late: -window without -metrics or below 0, a -metrics
+// file with the .txt timeline suffix (the timeline has no window
+// records), and in cluster mode a -trace file that is not NDJSON (the
+// channels' streams are told apart by NDJSON run labels).
+func checkOutputFlags(fs *flag.FlagSet, traceOut, metricsOut string, window int64, cluster bool) error {
+	windowSet := false
+	fs.Visit(func(f *flag.Flag) { windowSet = windowSet || f.Name == "window" })
+	switch {
+	case windowSet && metricsOut == "":
+		return fmt.Errorf("-window requires -metrics")
+	case window < 0:
+		return fmt.Errorf("-window must be >= 0, got %d", window)
+	case strings.HasSuffix(metricsOut, ".txt"):
+		return fmt.Errorf("-metrics writes window records; the .txt timeline has none (use NDJSON or .csv)")
+	}
+	if cluster {
+		for _, ext := range []string{".csv", ".txt"} {
+			if strings.HasSuffix(traceOut, ext) {
+				return fmt.Errorf("-trace in cluster mode multiplexes NDJSON run labels; %s is not supported", ext)
+			}
+		}
+	}
+	return nil
 }
 
-// openSink creates path and returns a buffered sink for it — CSV if the
-// path ends in .csv, NDJSON otherwise — plus a finisher that flushes both
-// layers and closes the file.
-func openSink(path string) (recordSink, func() error, error) {
+// windowSink is implemented by the sinks -metrics writes to (obs.NDJSON
+// and obs.CSV); checkOutputFlags keeps the timeline away from -metrics.
+type windowSink interface {
+	RecordWindow(obs.WindowStat)
+}
+
+// openSink creates path and returns a buffered sink for it — the ASCII
+// slot timeline if the path ends in .txt, CSV if .csv, NDJSON otherwise —
+// plus a finisher that flushes both layers and closes the file.
+func openSink(path string) (obs.Recorder, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	bw := bufio.NewWriter(f)
-	var s recordSink
-	if strings.HasSuffix(path, ".csv") {
+	var s interface {
+		obs.Recorder
+		obs.Flusher
+	}
+	switch {
+	case strings.HasSuffix(path, ".txt"):
+		s = obs.NewTimeline(bw)
+	case strings.HasSuffix(path, ".csv"):
 		s = obs.NewCSV(bw)
-	} else {
+	default:
 		s = obs.NewNDJSON(bw)
 	}
 	done := func() error {

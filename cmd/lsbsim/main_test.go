@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -442,5 +443,246 @@ func TestRunChurnFaultsFlagErrors(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "degradation (all)") {
 		t.Fatalf("baseline row missing:\n%s", buf.String())
+	}
+}
+
+// TestTimelineGolden locks the .txt trace sink byte for byte: the ASCII
+// slot timeline of a run.
+func TestTimelineGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"golden_n8_seed3.txt", []string{"-n", "8", "-seed", "3"}},
+		{"golden_n6_seed2_jam.txt", []string{"-n", "6", "-seed", "2", "-jam", "burst", "-jamfrom", "0", "-jamto", "64"}},
+	}
+	for _, c := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.txt")
+		var buf bytes.Buffer
+		if err := run(append(c.args, "-trace", path), &buf); err != nil {
+			t.Fatalf("%s: %v", c.golden, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: timeline diverged from golden\n--- got ---\n%s--- want ---\n%s", c.golden, got, want)
+		}
+		if !strings.Contains(buf.String(), "delivered") {
+			t.Errorf("%s: summary missing next to the timeline:\n%s", c.golden, buf.String())
+		}
+	}
+}
+
+// TestTimelineDeterministicForSeed: the timeline is a function of the
+// seed, and the seed reaches it.
+func TestTimelineDeterministicForSeed(t *testing.T) {
+	dir := t.TempDir()
+	render := func(seed string) string {
+		path := filepath.Join(dir, "seed"+seed+".txt")
+		if err := run([]string{"-n", "5", "-seed", seed, "-trace", path}, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if render("9") != render("9") {
+		t.Fatal("identical seeds produced different timelines")
+	}
+	if render("9") == render("10") {
+		t.Fatal("different seeds produced identical timelines (seed flag ignored)")
+	}
+}
+
+// runTimeline runs lsbsim with a .txt trace and returns the printed
+// summary and the timeline file.
+func runTimeline(t *testing.T, args ...string) (summary, timeline string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.txt")
+	var buf bytes.Buffer
+	if err := run(append(args, "-trace", path), &buf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), string(b)
+}
+
+// TestRunTraceTimelineEndToEnd: a batch run with a .txt trace prints its
+// summary and draws one success glyph per delivered packet.
+func TestRunTraceTimelineEndToEnd(t *testing.T) {
+	summary, timeline := runTimeline(t, "-n", "6", "-seed", "3")
+	if !strings.Contains(summary, "6 arrived, 6 delivered") {
+		t.Fatalf("missing summary line:\n%s", summary)
+	}
+	if got := strings.Count(timeline, "S"); got != 6 {
+		t.Fatalf("timeline has %d success glyphs, want 6:\n%s", got, timeline)
+	}
+}
+
+// TestRunTraceTimelineJammed: a jammed prefix is reported in the summary
+// and drawn as '!' glyphs, all of them before the first unjammed slot.
+func TestRunTraceTimelineJammed(t *testing.T) {
+	summary, timeline := runTimeline(t, "-n", "4", "-seed", "2", "-jam", "burst", "-jamto", "32")
+	jammed := ""
+	for _, line := range strings.Split(summary, "\n") {
+		if strings.HasPrefix(line, "jammed slots") {
+			jammed = strings.TrimSpace(strings.TrimPrefix(line, "jammed slots"))
+		}
+	}
+	if jammed != "32" {
+		t.Fatalf("jammed slots = %q, want 32:\n%s", jammed, summary)
+	}
+	last := strings.LastIndex(timeline, "!")
+	if last < 0 {
+		t.Fatalf("no jam markers in timeline:\n%s", timeline)
+	}
+	if first := strings.IndexAny(timeline, "Sx."); first >= 0 && first < last {
+		t.Fatalf("jam marker after an unjammed slot:\n%s", timeline)
+	}
+}
+
+// TestRunTraceFlagErrors: bad run flags are rejected before a .txt trace
+// is written.
+func TestRunTraceFlagErrors(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.txt")
+	for _, args := range [][]string{
+		{"-n", "notanumber"},
+		{"-definitely-not-a-flag"},
+		{"-n", "0"},
+		{"-n", "4", "-jam", "burst", "-jamfrom", "10", "-jamto", "10"},
+	} {
+		if err := run(append(args, "-trace", path), &bytes.Buffer{}); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("rejected runs wrote a trace: %v", err)
+	}
+}
+
+// TestRunOutputFlagErrors: observability flags that would be ignored, or
+// that name a format the mode cannot write, are rejected before any file
+// is created, in single-channel and cluster mode alike.
+func TestRunOutputFlagErrors(t *testing.T) {
+	dir := t.TempDir()
+	m := filepath.Join(dir, "m.ndjson")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-window", "64"}, "-window requires -metrics"},
+		{[]string{"-window", "0"}, "-window requires -metrics"},
+		{[]string{"-channels", "2", "-window", "64"}, "-window requires -metrics"},
+		{[]string{"-metrics", m, "-window", "-5"}, "-window must be >= 0, got -5"},
+		{[]string{"-channels", "2", "-metrics", m, "-window", "-5"}, "-window must be >= 0, got -5"},
+		{[]string{"-metrics", filepath.Join(dir, "m.txt")}, "the .txt timeline has none"},
+		{[]string{"-channels", "2", "-metrics", filepath.Join(dir, "m.txt")}, "the .txt timeline has none"},
+		{[]string{"-channels", "2", "-trace", filepath.Join(dir, "t.txt")}, ".txt is not supported"},
+		{[]string{"-channels", "2", "-trace", filepath.Join(dir, "t.csv")}, ".csv is not supported"},
+	}
+	for _, c := range cases {
+		err := run(append([]string{"-n", "8"}, c.args...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("rejected runs created files: %v (%v)", entries, err)
+	}
+}
+
+// TestRunClosesTraceWhenMetricsFails: when -metrics cannot be created, the
+// already-open -trace file is flushed and closed before run returns.
+func TestRunClosesTraceWhenMetricsFails(t *testing.T) {
+	openFDs := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(entries)
+	}
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.ndjson")
+	before := openFDs()
+	err := run([]string{"-n", "8", "-trace", trace, "-metrics", filepath.Join(dir, "missing", "m.ndjson")}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("unwritable -metrics path accepted")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("%d files open before the run, %d after: the trace file leaked", before, after)
+	}
+	if _, err := os.Stat(trace); err != nil {
+		t.Fatalf("trace file: %v", err)
+	}
+}
+
+// TestRunTraceNDJSON checks the single-channel NDJSON trace: every line is
+// a self-describing JSON object, every packet appears exactly once, and
+// the slot lines are exactly the resolved slots the .txt timeline of the
+// same run draws.
+func TestRunTraceNDJSON(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.ndjson")
+	args := []string{"-n", "8", "-seed", "3"}
+	if err := run(append(args, "-trace", path), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, packets := 0, 0
+	ids := map[int64]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec struct {
+			Type      string `json:"type"`
+			ID        int64  `json:"id"`
+			Departure int64  `json:"departure"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		switch rec.Type {
+		case "slot":
+			slots++
+		case "packet":
+			packets++
+			if ids[rec.ID] || rec.Departure < 0 {
+				t.Fatalf("packet %d emitted twice or undelivered in a completed batch run", rec.ID)
+			}
+			ids[rec.ID] = true
+		default:
+			t.Fatalf("unexpected record type %q", rec.Type)
+		}
+	}
+	if packets != 8 {
+		t.Fatalf("got %d packet records, want 8", packets)
+	}
+	txt := filepath.Join(dir, "trace.txt")
+	if err := run(append(args, "-trace", txt), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	strip, err := os.ReadFile(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	glyphs := 0
+	for _, g := range []string{"S", "x", ".", "!"} {
+		glyphs += strings.Count(string(strip), g)
+	}
+	if slots == 0 || slots != glyphs {
+		t.Fatalf("NDJSON has %d slot records, the timeline %d glyphs", slots, glyphs)
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 		Seed:     seed,
 		Arrivals: lowsensing.BernoulliArrivals(rate, packets),
 		Jammer:   lowsensing.BurstJamming(jamStart, jamEnd),
-	}.Simulation(lowsensing.WithCollector(col)).Run()
+	}.Simulation(lowsensing.WithRecorder(col)).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,19 @@ import (
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
+
+// soakSampler is a recorder bound to its engine (sim.EngineBound) that
+// hands the engine to fn after every resolved slot.
+type soakSampler struct {
+	e  *sim.Engine
+	fn func(e *sim.Engine)
+}
+
+func (p *soakSampler) Bind(e *sim.Engine)           { p.e = e }
+func (p *soakSampler) RecordSlot(obs.SlotEvent)     { p.fn(p.e) }
+func (p *soakSampler) RecordPacket(obs.PacketEvent) {}
 
 // TestLongStreamSoak runs half a million slots of jammed, steadily arriving
 // traffic and checks the paper's "for all t" guarantees hold throughout:
@@ -35,14 +47,14 @@ func TestLongStreamSoak(t *testing.T) {
 		NewStation: MustFactory(Default()),
 		Jammer:     jam,
 		MaxSlots:   horizon,
-		Probe: func(e *sim.Engine, _ int64) {
+		Recorder: &soakSampler{fn: func(e *sim.Engine) {
 			if v := e.ImplicitThroughputNow(); v < minImplicit {
 				minImplicit = v
 			}
 			if b := e.Backlog(); b > maxBacklog {
 				maxBacklog = b
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func runE13(rc RunConfig) (*Table, error) {
 		r, err := run(seed, lowsensing.Scenario{
 			Arrivals: lowsensing.BernoulliArrivals(lambda, n),
 			MaxSlots: int64(float64(n)/lambda) + (1 << 18),
-		}, lowsensing.WithCollector(col))
+		}, lowsensing.WithRecorder(col))
 		if err != nil {
 			return e13rep{}, err
 		}

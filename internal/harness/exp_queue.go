@@ -10,7 +10,7 @@ import (
 	"lowsensing/internal/plot"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
-	"lowsensing/internal/trace"
+	"lowsensing/obs"
 )
 
 func init() {
@@ -67,7 +67,7 @@ func aqtRun(seed uint64, s int64, lambda float64, windows int64, every int64) (*
 	r, err := run(seed, lowsensing.Scenario{
 		Arrivals: lowsensing.QueueArrivals(s, lambda, windows),
 		MaxSlots: s * windows,
-	}, lowsensing.WithCollector(col))
+	}, lowsensing.WithRecorder(col))
 	return col, r, err
 }
 
@@ -186,7 +186,7 @@ func runE8(rc RunConfig) (*Table, error) {
 	r, err := one(rc, "E8", lowsensing.Scenario{
 		Arrivals: lowsensing.BatchArrivals(n),
 		MaxSlots: capFor(n, 0),
-	}, lowsensing.WithCollector(col))
+	}, lowsensing.WithRecorder(col))
 	if err != nil {
 		return nil, err
 	}
@@ -234,27 +234,31 @@ func runE9(rc RunConfig) (*Table, error) {
 		return nil, err
 	}
 	const n = 8
-	tr := &trace.Tracer{}
+	var strip strings.Builder
+	tl := obs.NewTimeline(&strip)
 	r, err := one(rc, "E9", lowsensing.Scenario{
 		Arrivals: lowsensing.BatchArrivals(n),
 		MaxSlots: capFor(n, 0),
-	}, lowsensing.WithRecorder(tr))
+	}, lowsensing.WithRecorder(tl))
 	if err != nil {
 		return nil, err
 	}
-	succ, coll, empty, jammed := tr.CountOutcomes()
+	if err := tl.Flush(); err != nil {
+		return nil, err
+	}
+	succ, coll, empty, jammed := tl.Counts()
 	t := &Table{
 		ID:      "E9",
 		Title:   fmt.Sprintf("Slot trace, N=%d batch (S=success, x=collision, .=heard-empty, !=jam)", n),
 		Claim:   "Figure 1 behaviour at slot granularity",
 		Columns: []string{"outcome", "slots"},
 	}
-	t.AddRow("success", d(int64(succ)))
-	t.AddRow("collision", d(int64(coll)))
-	t.AddRow("heard-empty", d(int64(empty)))
-	t.AddRow("jammed", d(int64(jammed)))
+	t.AddRow("success", d(succ))
+	t.AddRow("collision", d(coll))
+	t.AddRow("heard-empty", d(empty))
+	t.AddRow("jammed", d(jammed))
 	t.AddRow("active slots", d(r.ActiveSlots))
-	for _, line := range strings.Split(tr.Timeline(76), "\n") {
+	for _, line := range strings.Split(strings.TrimSuffix(strip.String(), "\n"), "\n") {
 		t.AddNote("%s", line)
 	}
 	return t, nil
@@ -312,7 +316,7 @@ func runA1(rc RunConfig) (*Table, error) {
 			Arrivals: lowsensing.QueueArrivals(aqtS, 0.1, windows),
 			Protocol: lowsensing.LowSensing(cfg),
 			MaxSlots: aqtS * windows,
-		}, lowsensing.WithCollector(col)); err != nil {
+		}, lowsensing.WithRecorder(col)); err != nil {
 			return a1rep{}, err
 		}
 		out.aqtMaxB = float64(col.MaxBacklog())

@@ -63,7 +63,7 @@ func runE14(rc RunConfig) (*Table, error) {
 		r, err := run(seed, lowsensing.Scenario{
 			Arrivals: lowsensing.BernoulliArrivals(lambda, 0), // unbounded
 			MaxSlots: horizon,
-		}, lowsensing.WithJammer(jam), lowsensing.WithCollector(col))
+		}, lowsensing.WithJammer(jam), lowsensing.WithRecorder(col))
 		return e14out{r: r, col: col}, err
 	})
 	if err != nil {

@@ -9,11 +9,15 @@ import (
 	"lowsensing/internal/core"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
-// Sample is one probe observation. Slot numbers refer to resolved slots
-// (slots in which some station accessed the channel); quantities are as of
-// the end of that slot.
+// Sample is one Collector observation. Slot numbers refer to resolved
+// slots (slots in which some station accessed the channel); quantities are
+// as of the end of that slot. Active counts the active stations exposing a
+// backoff window, and WMin, WMedian and WMax summarize those windows (the
+// median is the upper one, the element at index Active/2 in sorted order;
+// all three are 0 when Active is 0).
 type Sample struct {
 	Slot               int64
 	Backlog            int64
@@ -24,11 +28,22 @@ type Sample struct {
 	ImplicitThroughput float64
 	Contention         float64
 	Potential          core.Potential
+	Active             int
+	WMin               float64
+	WMedian            float64
+	WMax               float64
 }
 
-// Collector samples engine state during a run. Attach its Probe method via
-// sim.Params.Probe. The zero value samples every resolved slot with the
-// default potential coefficients; set Every to thin the series.
+// Collector samples engine state during a run: the backlog and counters,
+// implicit throughput, the contention C(t), the paper's potential Φ(t),
+// and the distribution of the active stations' backoff windows — the
+// state Figure 1's analysis tracks. It is an obs.Recorder that reads the
+// engine it is bound to (sim.EngineBound): attach it as a run's recorder,
+// alone or inside obs.Multi, EveryN or SlotRange, and the engine binds it
+// before the first slot. One Collector observes one engine; a cluster run
+// rejects a Collector reachable from two channels. The zero value samples
+// every resolved slot with the default potential coefficients; set Every
+// to thin the series.
 type Collector struct {
 	// Every is the minimum number of slots between samples (0 or 1 means
 	// sample every resolved slot).
@@ -37,15 +52,28 @@ type Collector struct {
 	// core.DefaultPotentialParams.
 	Params core.PotentialParams
 
+	e       *sim.Engine
 	samples []Sample
 	nextAt  int64
 	winBuf  []float64
 }
 
-// Probe implements the sim.Params.Probe signature.
-func (c *Collector) Probe(e *sim.Engine, slot int64) {
+// Bind implements sim.EngineBound.
+func (c *Collector) Bind(e *sim.Engine) { c.e = e }
+
+// RecordPacket implements obs.Recorder; the Collector samples per slot.
+func (c *Collector) RecordPacket(obs.PacketEvent) {}
+
+// RecordSlot implements obs.Recorder: it samples the bound engine if at
+// least Every slots passed since the previous sample.
+func (c *Collector) RecordSlot(ev obs.SlotEvent) {
+	slot := ev.Slot
 	if slot < c.nextAt {
 		return
+	}
+	e := c.e
+	if e == nil {
+		panic("metrics: Collector received a slot before being bound to an engine; attach it as the run's recorder")
 	}
 	every := c.Every
 	if every < 1 {
@@ -60,7 +88,7 @@ func (c *Collector) Probe(e *sim.Engine, slot int64) {
 	c.winBuf = c.winBuf[:0]
 	e.VisitActiveWindows(func(w float64) { c.winBuf = append(c.winBuf, w) })
 
-	c.samples = append(c.samples, Sample{
+	s := Sample{
 		Slot:               slot,
 		Backlog:            e.Backlog(),
 		Arrived:            e.Arrived(),
@@ -70,7 +98,56 @@ func (c *Collector) Probe(e *sim.Engine, slot int64) {
 		ImplicitThroughput: e.ImplicitThroughputNow(),
 		Contention:         core.Contention(c.winBuf),
 		Potential:          core.Measure(c.winBuf, params),
-	})
+		Active:             len(c.winBuf),
+	}
+	// The window summary reorders winBuf, so it runs after the float sums
+	// above, which depend on arrival order.
+	if n := len(c.winBuf); n > 0 {
+		s.WMin, s.WMax = c.winBuf[0], c.winBuf[0]
+		for _, w := range c.winBuf[1:] {
+			if w < s.WMin {
+				s.WMin = w
+			}
+			if w > s.WMax {
+				s.WMax = w
+			}
+		}
+		s.WMedian = selectKth(c.winBuf, n/2)
+	}
+	c.samples = append(c.samples, s)
+}
+
+// selectKth returns the element that would sit at index k if xs were
+// sorted ascending, reordering xs in place (Hoare's selection with a
+// middle pivot: expected linear time, no allocation).
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // Samples returns the collected series.
@@ -101,7 +178,8 @@ func (c *Collector) MinImplicitThroughput() float64 {
 
 // Series extracts one named field of the samples as a float64 slice. Valid
 // names: "slot", "backlog", "implicit", "contention", "phi", "potN",
-// "potH", "potL". It panics on an unknown name (caller bug).
+// "potH", "potL", "active", "wmin", "wmedian", "wmax". It panics on an
+// unknown name (caller bug).
 func (c *Collector) Series(name string) []float64 {
 	out := make([]float64, len(c.samples))
 	for i, s := range c.samples {
@@ -122,6 +200,14 @@ func (c *Collector) Series(name string) []float64 {
 			out[i] = s.Potential.H
 		case "potL":
 			out[i] = s.Potential.L
+		case "active":
+			out[i] = float64(s.Active)
+		case "wmin":
+			out[i] = s.WMin
+		case "wmedian":
+			out[i] = s.WMedian
+		case "wmax":
+			out[i] = s.WMax
 		default:
 			panic(fmt.Sprintf("metrics: unknown series %q", name))
 		}

@@ -1,11 +1,17 @@
 package metrics
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
+	"lowsensing/internal/jamming"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
 func runWithCollector(t *testing.T, c *Collector, n int64) sim.Result {
@@ -15,7 +21,7 @@ func runWithCollector(t *testing.T, c *Collector, n int64) sim.Result {
 		Arrivals:   arrivals.NewBatch(n),
 		NewStation: core.MustFactory(core.Default()),
 		MaxSlots:   1 << 22,
-		Probe:      c.Probe,
+		Recorder:   c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,4 +245,193 @@ func TestSummarizeEnergyUndelivered(t *testing.T) {
 	if es.Accesses.Max != 8 {
 		t.Fatalf("max accesses = %v", es.Accesses.Max)
 	}
+}
+
+// TestCollectorWindowSamples checks the window summary of every sample:
+// the algorithm's floor, min <= median <= max, an empty final sample, and
+// growth beyond the floor under a 64-packet batch.
+func TestCollectorWindowSamples(t *testing.T) {
+	c := &Collector{}
+	runWithCollector(t, c, 64)
+	samples := c.Samples()
+	cfg := core.Default()
+	var maxEver float64
+	for i, s := range samples {
+		if s.Active > 0 {
+			if s.WMin < cfg.WMin {
+				t.Fatalf("sample %d: wmin %v below algorithm floor", i, s.WMin)
+			}
+			if s.WMin > s.WMedian || s.WMedian > s.WMax {
+				t.Fatalf("sample %d: order violated: %+v", i, s)
+			}
+		}
+		if int64(s.Active) != s.Backlog {
+			t.Fatalf("sample %d: %d windows for a backlog of %d LSB stations", i, s.Active, s.Backlog)
+		}
+		maxEver = max(maxEver, s.WMax)
+	}
+	if last := samples[len(samples)-1]; last.Active != 0 || last.WMax != 0 {
+		t.Fatalf("final sample = %+v", last)
+	}
+	if maxEver <= cfg.WMin {
+		t.Fatalf("windows never grew: %v", maxEver)
+	}
+}
+
+// TestCollectorWindowEvery: thinning drops samples without changing them;
+// every thinned sample, window summary included, is the dense sample of
+// the same slot.
+func TestCollectorWindowEvery(t *testing.T) {
+	dense := &Collector{}
+	runWithCollector(t, dense, 32)
+	sparse := &Collector{Every: 40}
+	runWithCollector(t, sparse, 32)
+	if len(sparse.Samples()) >= len(dense.Samples()) {
+		t.Fatalf("thinning failed: %d vs %d", len(sparse.Samples()), len(dense.Samples()))
+	}
+	bySlot := map[int64]Sample{}
+	for _, s := range dense.Samples() {
+		bySlot[s.Slot] = s
+	}
+	for _, s := range sparse.Samples() {
+		if d, ok := bySlot[s.Slot]; !ok || d != s {
+			t.Fatalf("thinned sample %+v differs from the dense one %+v", s, d)
+		}
+	}
+}
+
+// TestCollectorWindowSeries: the window series have one entry per sample,
+// carry the sample fields, and an unknown name still panics.
+func TestCollectorWindowSeries(t *testing.T) {
+	c := &Collector{}
+	runWithCollector(t, c, 16)
+	samples := c.Samples()
+	for _, name := range []string{"active", "wmin", "wmedian", "wmax", "slot"} {
+		if got := len(c.Series(name)); got != len(samples) {
+			t.Fatalf("series %q length %d, want %d", name, got, len(samples))
+		}
+	}
+	active, wmin, wmed, wmax := c.Series("active"), c.Series("wmin"), c.Series("wmedian"), c.Series("wmax")
+	for i, s := range samples {
+		if active[i] != float64(s.Active) || wmin[i] != s.WMin || wmed[i] != s.WMedian || wmax[i] != s.WMax {
+			t.Fatalf("sample %d: series disagree with %+v", i, s)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown series did not panic")
+		}
+	}()
+	c.Series("nope")
+}
+
+// TestSelectKth checks the median selection against a sort, including
+// duplicates and every rank.
+func TestSelectKth(t *testing.T) {
+	inputs := [][]float64{
+		{5},
+		{2, 1},
+		{3, 3, 3},
+		{9, 1, 8, 2, 7, 3, 6, 4, 5},
+		{1, 5, 1, 5, 1, 5, 2, 2},
+		{15.7, 8, 15.7, 8, 15.7, 9},
+	}
+	for _, in := range inputs {
+		sorted := append([]float64(nil), in...)
+		sort.Float64s(sorted)
+		for k := range in {
+			xs := append([]float64(nil), in...)
+			if got := selectKth(xs, k); got != sorted[k] {
+				t.Errorf("selectKth(%v, %d) = %v, want %v", in, k, got, sorted[k])
+			}
+		}
+	}
+}
+
+// TestWindowTrajectoryGolden pins the window trajectory of a jammed
+// 6-packet batch (seed 2, slots [0, 64) jammed): the resolved-slot
+// samples thinned to 16 evenly spaced rows, in the format the ASCII trace
+// tool printed them before the Collector took the window summary over.
+func TestWindowTrajectoryGolden(t *testing.T) {
+	const want = `      slot   active      w_min   w_median      w_max
+         0        6        8.0       15.7       15.7
+        11        6       98.3      198.2      198.2
+        24        6      273.1      655.6     1111.7
+        36        6      655.6     1428.7     1822.1
+        53        6     1111.7     2903.4     2903.4
+        73        6      678.3     3631.6     4517.7
+        92        6       36.7     2334.3     4517.7
+       104        5      292.1     1855.7     3650.2
+       132        5      112.8      683.3     3650.2
+       147        5        8.0      402.1     2346.8
+       158        4       37.1      696.8     1865.9
+       176        2      303.6     1865.9     1865.9
+       195        2        8.8      901.6      901.6
+       208        2        8.0      164.3      164.3
+       231        1        8.0        8.0        8.0
+       251        0        0.0        0.0        0.0
+`
+	iv, err := jamming.NewInterval(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Collector{}
+	e, err := sim.NewEngine(sim.Params{
+		Seed:          2,
+		Arrivals:      arrivals.NewBatch(6),
+		NewStation:    core.MustFactory(core.Default()),
+		ReuseStations: true,
+		MaxSlots:      1 << 24,
+		Jammer:        iv,
+		Recorder:      c,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	samples := c.Samples()
+	const rows = 16
+	var b strings.Builder
+	fmt.Fprintf(&b, "%10s %8s %10s %10s %10s\n", "slot", "active", "w_min", "w_median", "w_max")
+	for i := 0; i < rows; i++ {
+		s := samples[i*(len(samples)-1)/(rows-1)]
+		fmt.Fprintf(&b, "%10d %8d %10.1f %10.1f %10.1f\n", s.Slot, s.Active, s.WMin, s.WMedian, s.WMax)
+	}
+	if b.String() != want {
+		t.Fatalf("window trajectory diverged\n--- got ---\n%s--- want ---\n%s", b.String(), want)
+	}
+}
+
+// TestCollectorInsideComposite: a Collector wrapped in obs composites is
+// still bound and samples the thinned slot stream.
+func TestCollectorInsideComposite(t *testing.T) {
+	direct, nested := &Collector{}, &Collector{}
+	runWithCollector(t, direct, 32)
+	e, err := sim.NewEngine(sim.Params{
+		Seed:       21,
+		Arrivals:   arrivals.NewBatch(32),
+		NewStation: core.MustFactory(core.Default()),
+		MaxSlots:   1 << 22,
+		Recorder:   obs.Multi(obs.SlotRange(nested, 0, 1<<40), obs.NewRing(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct.Samples(), nested.Samples()) {
+		t.Fatalf("nested collector diverged: %d vs %d samples", len(nested.Samples()), len(direct.Samples()))
+	}
+}
+
+func TestCollectorUnboundPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unbound Collector sampled without panicking")
+		}
+	}()
+	(&Collector{}).RecordSlot(obs.SlotEvent{})
 }

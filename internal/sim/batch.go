@@ -52,8 +52,8 @@ import (
 // BatchedSlots itself can differ. The batching on/off property test pins
 // all of this down for every registered protocol × jammer × arrival kind.
 //
-// The path declines to engage (Engine.batchOK) when a Recorder or Probe
-// needs the per-slot event stream, when RetainPackets is set, when the
+// The path declines to engage (Engine.batchOK) when a Recorder needs the
+// per-slot event stream, when RetainPackets is set, when the
 // jammer is reactive (it must see every slot's sender set), or when
 // Params.DisableBatching asks for the general resolver.
 

@@ -19,17 +19,16 @@ type Params struct {
 	Jammer     Jammer
 	NewStation StationFactory
 	MaxSlots   int64
-	// Probe, if non-nil, is invoked after every resolved slot with the
-	// engine and the slot number. Probes may inspect the engine through
-	// its read accessors but must not mutate it.
-	Probe func(e *Engine, slot int64)
 	// Recorder, if non-nil, receives the run's structured event stream: an
-	// obs.SlotEvent after every resolved slot (before Probe) and an
-	// obs.PacketEvent for every packet — delivered packets at departure in
-	// departure order, packets abandoned by churn at their leave slot with
-	// Departure = DepartureAbandoned, undelivered packets at the end of the
-	// run in arrival order with Departure = -1. The packet events of packets
-	// departing (or abandoning) at slot t precede t's slot event. A nil
+	// obs.SlotEvent after every resolved slot and an obs.PacketEvent for
+	// every packet — delivered packets at departure in departure order,
+	// packets abandoned by churn at their leave slot with Departure =
+	// DepartureAbandoned, undelivered packets at the end of the run in
+	// arrival order with Departure = -1. The packet events of packets
+	// departing (or abandoning) at slot t precede t's slot event. Every leaf
+	// of the recorder (obs.Walk) that implements EngineBound is bound to the
+	// engine by NewEngine, so it may read engine state through the read
+	// accessors when an event arrives; it must not mutate the engine. A nil
 	// Recorder costs one predictable branch per slot and keeps the hot path
 	// allocation-free.
 	Recorder obs.Recorder
@@ -153,7 +152,7 @@ type Engine struct {
 	slotStations []int32
 	slotSenders  []int64
 
-	// Last resolved slot, for probes.
+	// Last resolved slot, for bound recorders.
 	lastOutcome   Outcome
 	lastSenders   int
 	lastAccessors int
@@ -234,14 +233,20 @@ func NewEngine(p Params) (*Engine, error) {
 	if b, ok := p.Arrivals.(EngineBound); ok {
 		b.Bind(e)
 	}
+	obs.Walk(p.Recorder, func(r obs.Recorder) {
+		if b, ok := r.(EngineBound); ok {
+			b.Bind(e)
+		}
+	})
 	e.pendSlot, e.pendCount, e.pendOK = p.Arrivals.Next()
 	return e, nil
 }
 
-// EngineBound is implemented by adversary components (arrival sources,
-// jammers) that adapt to the observable state of the system. The engine
-// calls Bind once, before the run starts. Bound components must use only
-// the engine's read accessors.
+// EngineBound is implemented by components that read the observable state
+// of the system: adaptive adversaries (arrival sources, jammers) and
+// recorders that sample engine state (Params.Recorder). NewEngine calls
+// Bind once, before the run starts. Bound components must use only the
+// engine's read accessors, and one instance serves one engine.
 type EngineBound interface {
 	Bind(e *Engine)
 }
@@ -258,9 +263,9 @@ func (e *Engine) Run() (Result, error) {
 		return Result{}, fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
 	}
 	e.ran = true
-	// The batch fast path synthesizes no per-slot event stream, so any
-	// per-slot observer (recorder, probe) forces the general resolver; a
-	// reactive jammer must see every slot's sender set for the same reason.
+	// The batch fast path synthesizes no per-slot event stream, so a
+	// recorder forces the general resolver; a reactive jammer must see
+	// every slot's sender set for the same reason.
 	// Decided here, not at construction, so the flag reflects the params the
 	// run actually starts with. See batch.go for the per-run-of-slots
 	// conditions.
@@ -276,7 +281,7 @@ func (e *Engine) decideBatchOK() {
 	// what makes runs with faults on trivially identical across the
 	// batched/general setting.
 	p := &e.params
-	e.batchOK = !p.DisableBatching && p.Recorder == nil && p.Probe == nil &&
+	e.batchOK = !p.DisableBatching && p.Recorder == nil &&
 		!p.RetainPackets && e.react == nil && p.Faults == nil && p.Lifetime == nil
 }
 
@@ -328,22 +333,16 @@ func (e *Engine) advance(limit int64) {
 
 		// Resolve the channel only if some station accesses slot t. The
 		// batch fast path (batch.go) takes over whole uncontended runs of
-		// slots when permitted; it implies Recorder and Probe are nil.
+		// slots when permitted; it implies Recorder is nil.
 		if resolve {
 			if e.batchOK {
 				e.resolveRun(t)
 				continue
 			}
 			// A false return means every due event was a churn abandon: no
-			// station accessed the channel, so there is no slot to record
-			// or probe.
-			if e.resolveSlot(t) {
-				if e.params.Recorder != nil {
-					e.params.Recorder.RecordSlot(e.LastSlotEvent())
-				}
-				if e.params.Probe != nil {
-					e.params.Probe(e, t)
-				}
+			// station accessed the channel, so there is no slot to record.
+			if e.resolveSlot(t) && e.params.Recorder != nil {
+				e.params.Recorder.RecordSlot(e.LastSlotEvent())
 			}
 		}
 	}
@@ -835,7 +834,7 @@ func (e *Engine) result() Result {
 	return r
 }
 
-// --- read accessors for probes and adaptive adversaries ---
+// --- read accessors for bound recorders and adaptive adversaries ---
 
 // Backlog returns the number of packets currently in the system.
 func (e *Engine) Backlog() int64 { return e.activeCount }
@@ -873,7 +872,8 @@ func (e *Engine) ImplicitThroughputNow() float64 {
 }
 
 // LastOutcome returns the outcome of the most recently resolved slot; only
-// meaningful inside a Probe callback.
+// meaningful once a slot has resolved (for a bound recorder, inside
+// RecordSlot).
 func (e *Engine) LastOutcome() Outcome { return e.lastOutcome }
 
 // LastSenders returns the number of stations that transmitted in the most
@@ -889,8 +889,7 @@ func (e *Engine) LastJammed() bool { return e.lastJammed }
 
 // LastSlotEvent returns the most recently resolved slot as a structured
 // obs.SlotEvent — the same view a Params.Recorder receives. Only
-// meaningful inside a Probe callback (or after at least one resolved
-// slot).
+// meaningful once a slot has resolved.
 func (e *Engine) LastSlotEvent() obs.SlotEvent {
 	return obs.SlotEvent{
 		Slot:      e.curSlot,
@@ -915,8 +914,8 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // VisitActiveWindows calls fn with the window of every active station that
-// exposes one, in arrival order. It is intended for probes computing
-// contention or the paper's potential function; cost is linear in the
+// exposes one, in arrival order. It is intended for bound recorders
+// computing contention or the paper's potential function; cost is linear in the
 // current backlog (departed stations are recycled, not scanned).
 func (e *Engine) VisitActiveWindows(fn func(w float64)) {
 	for idx := e.liveHead; idx >= 0; idx = e.stations[idx].nextLive {

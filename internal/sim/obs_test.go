@@ -3,6 +3,7 @@ package sim
 import (
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lowsensing/internal/arrivals"
@@ -348,4 +349,114 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		sink := obs.NewNDJSON(io.Discard)
 		bench(b, obs.NewWindows(1024, sink.RecordWindow))
 	})
+}
+
+// bindCounter is a flushing recorder bound to its engine; it counts Bind
+// and Flush calls and checks it only ever sees its own engine.
+type bindCounter struct {
+	e              *Engine
+	binds, flushes int
+	slots          int
+}
+
+func (b *bindCounter) Bind(e *Engine)               { b.e = e; b.binds++ }
+func (b *bindCounter) RecordSlot(obs.SlotEvent)     { b.slots++ }
+func (b *bindCounter) RecordPacket(obs.PacketEvent) {}
+func (b *bindCounter) Flush() error                 { b.flushes++; return nil }
+
+// TestNestedRecorderBoundOnce: NewEngine binds an EngineBound leaf however
+// deeply it is wrapped in obs composites, exactly once, and obs.Flush
+// reaches the same leaf exactly once.
+func TestNestedRecorderBoundOnce(t *testing.T) {
+	leaf := &bindCounter{}
+	other := obs.NewRing(4)
+	rec := obs.Multi(obs.EveryN(obs.SlotRange(leaf, 0, 1<<40), 2), other)
+	e, err := NewEngine(Params{
+		Seed:       5,
+		Arrivals:   arrivals.NewBatch(8),
+		NewStation: core.MustFactory(core.Default()),
+		Recorder:   rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.binds != 1 || leaf.e != e {
+		t.Fatalf("leaf bound %d times (to the engine: %v), want once", leaf.binds, leaf.e == e)
+	}
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Flush(rec); err != nil {
+		t.Fatal(err)
+	}
+	if leaf.flushes != 1 {
+		t.Fatalf("leaf flushed %d times, want once", leaf.flushes)
+	}
+	if want := (r.EngineStats.SlotsResolved + 1) / 2; int64(leaf.slots) != want {
+		t.Fatalf("leaf saw %d slots through EveryN(2), want %d", leaf.slots, want)
+	}
+}
+
+// runTimeline drives an engine with a Timeline sink and returns the
+// result and the rendered strip.
+func runTimeline(t *testing.T, n int64, jam Jammer, maxSlots int64) (Result, *obs.Timeline, string) {
+	t.Helper()
+	var out strings.Builder
+	tl := obs.NewTimeline(&out)
+	e, err := NewEngine(Params{
+		Seed:       31,
+		Arrivals:   arrivals.NewBatch(n),
+		NewStation: core.MustFactory(core.Default()),
+		Jammer:     jam,
+		MaxSlots:   maxSlots,
+		Recorder:   tl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return r, tl, out.String()
+}
+
+// TestTimelineCountsEveryResolvedSlot: the timeline sink sees every
+// resolved slot once, in order, and classifies each.
+func TestTimelineCountsEveryResolvedSlot(t *testing.T) {
+	r, tl, strip := runTimeline(t, 32, nil, 1<<22)
+	if r.Completed != 32 {
+		t.Fatalf("completed = %d", r.Completed)
+	}
+	succ, coll, empty, jammed := tl.Counts()
+	if succ != 32 {
+		t.Fatalf("successes in timeline = %d, want 32", succ)
+	}
+	if jammed != 0 {
+		t.Fatalf("jams in unjammed run = %d", jammed)
+	}
+	if total := succ + coll + empty + jammed; total != r.EngineStats.SlotsResolved {
+		t.Fatalf("timeline classified %d slots, engine resolved %d", total, r.EngineStats.SlotsResolved)
+	}
+	if got := int64(strings.Count(strip, "S")); got != succ {
+		t.Fatalf("strip shows %d successes, counts say %d", got, succ)
+	}
+}
+
+// TestTimelineJammedRun: under jamming of the whole run, every resolved
+// slot is a jam glyph.
+func TestTimelineJammedRun(t *testing.T) {
+	r, tl, strip := runTimeline(t, 4, alwaysJam{}, 500)
+	succ, coll, empty, jammed := tl.Counts()
+	if jammed == 0 || succ+coll+empty != 0 || jammed != r.EngineStats.SlotsResolved {
+		t.Fatalf("counts %d/%d/%d/%d over %d resolved slots: every slot should be jammed",
+			succ, coll, empty, jammed, r.EngineStats.SlotsResolved)
+	}
+	if !strings.Contains(strip, "!") {
+		t.Fatal("timeline missing jam glyphs")
+	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
@@ -451,6 +452,19 @@ func TestReactiveJammerSeesSenders(t *testing.T) {
 	}
 }
 
+// slotSampler is a recorder bound to its engine (EngineBound) that calls fn
+// with the engine and the slot after every resolved slot — the way
+// engine-sampling recorders such as metrics.Collector observe a run.
+type slotSampler struct {
+	e  *Engine
+	fn func(e *Engine, slot int64)
+}
+
+func (b *slotSampler) Bind(e *Engine)                     { b.e = e }
+func (b *slotSampler) RecordSlot(ev obs.SlotEvent)        { b.fn(b.e, ev.Slot) }
+func (b *slotSampler) RecordPacket(obs.PacketEvent)       {}
+func sampler(fn func(e *Engine, slot int64)) *slotSampler { return &slotSampler{fn: fn} }
+
 func TestProbeAndVisitWindows(t *testing.T) {
 	probed := 0
 	var backlogSeen int64
@@ -460,7 +474,7 @@ func TestProbeAndVisitWindows(t *testing.T) {
 			0: {{0, true}},
 			1: {{1, true}},
 		}, nil),
-		Probe: func(e *Engine, slot int64) {
+		Recorder: sampler(func(e *Engine, slot int64) {
 			probed++
 			if b := e.Backlog(); b > backlogSeen {
 				backlogSeen = b
@@ -468,7 +482,7 @@ func TestProbeAndVisitWindows(t *testing.T) {
 			if e.CurrentSlot() != slot {
 				t.Errorf("CurrentSlot = %d, probe slot = %d", e.CurrentSlot(), slot)
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -494,6 +508,7 @@ type windowedStation struct {
 func (w *windowedStation) Window() float64 { return w.w }
 
 func TestVisitActiveWindows(t *testing.T) {
+	var sum float64
 	e, err := NewEngine(Params{
 		Arrivals: &batchSource{count: 3},
 		NewStation: func(id int64, _ *prng.Source) Station {
@@ -502,16 +517,15 @@ func TestVisitActiveWindows(t *testing.T) {
 				w:             float64(10 * (id + 1)),
 			}
 		},
+		Recorder: sampler(func(eng *Engine, slot int64) {
+			if slot == 0 {
+				sum = 0
+				eng.VisitActiveWindows(func(w float64) { sum += w })
+			}
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var sum float64
-	e.params.Probe = func(eng *Engine, slot int64) {
-		if slot == 0 {
-			sum = 0
-			eng.VisitActiveWindows(func(w float64) { sum += w })
-		}
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -533,7 +547,7 @@ func TestImplicitThroughputNowAndAccessors(t *testing.T) {
 			2: {{2, true}},
 			3: {{3, true}},
 		}, nil),
-		Probe: func(e *Engine, slot int64) {
+		Recorder: sampler(func(e *Engine, slot int64) {
 			seen = append(seen, e.ImplicitThroughputNow())
 			if e.Arrived() != 4 {
 				t.Errorf("Arrived = %d", e.Arrived())
@@ -547,7 +561,7 @@ func TestImplicitThroughputNowAndAccessors(t *testing.T) {
 			if e.ActiveSlotsSoFar() != slot+1 {
 				t.Errorf("ActiveSlotsSoFar = %d at slot %d", e.ActiveSlotsSoFar(), slot)
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@
 // and sinks — attaches as an Option hook through Scenario.Simulation:
 //
 //	col := &lowsensing.Collector{Every: 64}
-//	res, _ := sc.Simulation(lowsensing.WithCollector(col)).Run()
+//	res, _ := sc.Simulation(lowsensing.WithRecorder(col)).Run()
 //
 // Default runs are constant-memory per live packet — the engine state and
 // the Result both stay O(backlog) on arbitrarily long streams, with energy
@@ -56,7 +56,6 @@ import (
 	"lowsensing/internal/metrics"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
-	"lowsensing/internal/trace"
 	"lowsensing/obs"
 	"lowsensing/prng"
 )
@@ -89,13 +88,10 @@ type Welford = stats.Welford
 // EnergySummary aggregates per-packet access statistics.
 type EnergySummary = metrics.EnergySummary
 
-// Collector samples backlog/throughput/potential time series during a run;
-// attach one with WithCollector.
+// Collector samples backlog, throughput, potential and window-size time
+// series during a run. It is a Recorder bound to the run's engine: attach
+// one with WithRecorder.
 type Collector = metrics.Collector
-
-// Tracer records per-slot channel events. It is a Recorder: attach one
-// with WithRecorder.
-type Tracer = trace.Tracer
 
 // Recorder consumes a run's structured event stream (slot and packet
 // events); attach one with WithRecorder. The lowsensing/obs package
@@ -187,7 +183,6 @@ type Simulation struct {
 	customArrivals ArrivalSource
 	customFactory  StationFactory
 	customJammer   Jammer
-	probes         []func(*sim.Engine, int64)
 	recorders      []Recorder
 	sink           func(PacketStats)
 	ran            bool
@@ -266,17 +261,6 @@ func (s *Simulation) Run() (Result, error) {
 			return Result{}, err
 		}
 	}
-	var probe func(*sim.Engine, int64)
-	if len(s.probes) == 1 {
-		probe = s.probes[0]
-	} else if len(s.probes) > 1 {
-		probes := s.probes
-		probe = func(e *sim.Engine, slot int64) {
-			for _, p := range probes {
-				p(e, slot)
-			}
-		}
-	}
 	// Only past this point can the engine consume custom instances; earlier
 	// configuration errors leave the Simulation retryable, so a failed Run
 	// keeps reporting its real error rather than ErrReused.
@@ -287,7 +271,6 @@ func (s *Simulation) Run() (Result, error) {
 		NewStation: factory,
 		Jammer:     jammer,
 		MaxSlots:   s.sc.MaxSlots,
-		Probe:      probe,
 		Recorder:   obs.Multi(s.recorders...),
 		PacketSink: sink,
 		Lifetime:   lifetime,
@@ -349,18 +332,13 @@ func WithJammer(j Jammer) Option {
 	}
 }
 
-// WithCollector attaches a metrics collector that samples backlog,
-// contention, implicit throughput, and the potential function during the
-// run.
-func WithCollector(c *Collector) Option {
-	return func(s *Simulation) { s.probes = append(s.probes, c.Probe) }
-}
-
 // WithRecorder attaches a structured event recorder: it receives a
 // SlotEvent after every resolved slot and a PacketEvent for every packet
 // (delivered packets at departure, survivors at the end of the run with
 // Departure = -1). Multiple recorders compose; see lowsensing/obs for
-// sinks, sampling decorators, and windowed time-series. Runs without a
+// sinks, sampling decorators, windowed time-series, and the ASCII
+// timeline. A recorder that samples engine state, such as a Collector, is
+// bound to the run's engine before the first slot. Runs without a
 // recorder pay one predictable branch per slot.
 func WithRecorder(r Recorder) Option {
 	return func(s *Simulation) {

@@ -1,8 +1,11 @@
 package lowsensing
 
 import (
+	"io"
 	"math"
 	"testing"
+
+	"lowsensing/obs"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -118,7 +121,7 @@ func TestQueueArrivalsAndCollector(t *testing.T) {
 		Seed:     4,
 		Arrivals: QueueArrivals(256, 0.1, 10),
 		MaxSlots: 2560,
-	}.Simulation(WithCollector(col)).Run()
+	}.Simulation(WithRecorder(col)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +136,16 @@ func TestQueueArrivalsAndCollector(t *testing.T) {
 	}
 }
 
-// TestTracerAndMultipleProbes: a Tracer attaches as a Recorder, and
-// several collectors compose; with Every unset, each observes every
-// resolved slot.
-func TestTracerAndMultipleProbes(t *testing.T) {
-	tr := &Tracer{}
+// TestTimelineAndCollectorsCompose: a timeline sink and several
+// collectors attach as recorders side by side; with Every unset, each
+// observes every resolved slot.
+func TestTimelineAndCollectorsCompose(t *testing.T) {
+	tl := obs.NewTimeline(io.Discard)
 	col, col2 := &Collector{}, &Collector{}
 	res, err := Scenario{Seed: 5, Arrivals: BatchArrivals(16)}.Simulation(
-		WithRecorder(tr),
-		WithCollector(col),
-		WithCollector(col2),
+		WithRecorder(tl),
+		WithRecorder(col),
+		WithRecorder(col2),
 	).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -150,12 +153,14 @@ func TestTracerAndMultipleProbes(t *testing.T) {
 	if res.Completed != 16 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
-	if len(tr.Events()) == 0 || len(col.Samples()) == 0 {
-		t.Fatalf("hooks not all invoked: %d events, %d samples", len(tr.Events()), len(col.Samples()))
+	succ, coll, empty, jammed := tl.Counts()
+	slots := int(succ + coll + empty + jammed)
+	if slots == 0 || len(col.Samples()) == 0 {
+		t.Fatalf("hooks not all invoked: %d slots, %d samples", slots, len(col.Samples()))
 	}
-	if len(tr.Events()) != len(col.Samples()) || len(col.Samples()) != len(col2.Samples()) {
-		t.Fatalf("tracer %d events vs collectors %d and %d samples",
-			len(tr.Events()), len(col.Samples()), len(col2.Samples()))
+	if slots != len(col.Samples()) || len(col.Samples()) != len(col2.Samples()) {
+		t.Fatalf("timeline %d slots vs collectors %d and %d samples",
+			slots, len(col.Samples()), len(col2.Samples()))
 	}
 }
 

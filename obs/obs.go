@@ -11,9 +11,12 @@
 // Recorders compose. Multi fans events out to several recorders, EveryN
 // and SlotRange thin the slot stream, Ring keeps a bounded in-memory tail
 // with an explicit Dropped counter, Windows folds the stream into a
-// windowed time-series, and NDJSON / CSV serialize events to an io.Writer.
-// Anything implementing the two-method Recorder interface slots into the
-// same pipeline.
+// windowed time-series, NDJSON / CSV serialize events to an io.Writer, and
+// Timeline renders the slot stream as the ASCII strip of the paper's
+// Figure 1. Anything implementing the two-method Recorder interface slots
+// into the same pipeline; a recorder that also implements the engine's
+// Bind contract (sim.EngineBound) is handed the engine before the first
+// slot, wherever it sits in a composite (see Walk).
 package obs
 
 import "lowsensing/channel"
@@ -103,22 +106,46 @@ type Recorder interface {
 }
 
 // Flusher is optionally implemented by recorders holding buffered or
-// partial state (sinks, Windows). Flush is called by the surface layer
-// when a run ends; see the package-level Flush helper.
+// partial state (sinks, Windows, Timeline). Flush is called by the surface
+// layer when a run ends; see the package-level Flush helper.
 type Flusher interface {
 	Flush() error
 }
 
-// Flush flushes r if it (or, for composites, any constituent) implements
-// Flusher, returning the first error. A nil r is a no-op.
+// Walk calls fn on every leaf of r: the recorders that Multi, EveryN and
+// SlotRange wrap, recursively, or r itself when it is none of those
+// composites. A nil r visits nothing. Flush walks r this way, and so does
+// the engine when it binds recorders that read engine state, so a leaf is
+// reached however it is wrapped.
+func Walk(r Recorder, fn func(Recorder)) {
+	switch c := r.(type) {
+	case nil:
+	case multi:
+		for _, m := range c {
+			Walk(m, fn)
+		}
+	case *everyN:
+		Walk(c.r, fn)
+	case *slotRange:
+		Walk(c.r, fn)
+	default:
+		fn(r)
+	}
+}
+
+// Flush flushes every leaf of r (see Walk) that implements Flusher and
+// returns the first error; every leaf is flushed regardless. A nil r is a
+// no-op.
 func Flush(r Recorder) error {
-	if r == nil {
-		return nil
-	}
-	if f, ok := r.(Flusher); ok {
-		return f.Flush()
-	}
-	return nil
+	var first error
+	Walk(r, func(leaf Recorder) {
+		if f, ok := leaf.(Flusher); ok {
+			if err := f.Flush(); err != nil && first == nil {
+				first = err
+			}
+		}
+	})
+	return first
 }
 
 // multi fans every event out to each recorder in order.
@@ -155,18 +182,6 @@ func (m multi) RecordPacket(p PacketEvent) {
 	}
 }
 
-// Flush flushes every constituent that implements Flusher and returns the
-// first error (all constituents are flushed regardless).
-func (m multi) Flush() error {
-	var first error
-	for _, r := range m {
-		if err := Flush(r); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // everyN forwards every n-th slot event.
 type everyN struct {
 	r    Recorder
@@ -193,9 +208,6 @@ func (s *everyN) RecordSlot(ev SlotEvent) {
 }
 
 func (s *everyN) RecordPacket(p PacketEvent) { s.r.RecordPacket(p) }
-
-// Flush forwards to the wrapped recorder.
-func (s *everyN) Flush() error { return Flush(s.r) }
 
 // slotRange restricts events to a half-open slot interval.
 type slotRange struct {
@@ -225,9 +237,6 @@ func (s *slotRange) RecordPacket(p PacketEvent) {
 		s.r.RecordPacket(p)
 	}
 }
-
-// Flush forwards to the wrapped recorder.
-func (s *slotRange) Flush() error { return Flush(s.r) }
 
 // Ring is a bounded in-memory recorder keeping the most recent events of
 // each kind. When a buffer is full the oldest event is overwritten and the

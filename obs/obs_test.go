@@ -177,3 +177,41 @@ func TestRing(t *testing.T) {
 		t.Error("NewRing(<1) must clamp capacity to 1")
 	}
 }
+
+// boundCapture is a capture that also takes a Bind call, the way engine-
+// sampling recorders do; the engine binds leaves through Walk.
+type boundCapture struct {
+	capture
+	binds int
+}
+
+func (b *boundCapture) Bind() { b.binds++ }
+
+// TestWalkNestedBindAndFlushOnce: a leaf wrapped as
+// Multi(EveryN(SlotRange(x))) is visited exactly once by Walk — so the
+// engine's binding walk binds it once — and Flush flushes every Flusher
+// leaf exactly once.
+func TestWalkNestedBindAndFlushOnce(t *testing.T) {
+	x, y := &boundCapture{}, &capture{}
+	r := Multi(EveryN(SlotRange(x, 0, 100), 2), y)
+	Walk(r, func(leaf Recorder) {
+		if b, ok := leaf.(interface{ Bind() }); ok {
+			b.Bind()
+		}
+	})
+	if x.binds != 1 {
+		t.Fatalf("leaf bound %d times, want 1", x.binds)
+	}
+	if err := Flush(r); err != nil {
+		t.Fatal(err)
+	}
+	if x.flushed != 1 || y.flushed != 1 {
+		t.Fatalf("flush counts x=%d y=%d, want 1/1", x.flushed, y.flushed)
+	}
+	var leaves []Recorder
+	Walk(r, func(leaf Recorder) { leaves = append(leaves, leaf) })
+	if len(leaves) != 2 || leaves[0] != Recorder(x) || leaves[1] != Recorder(y) {
+		t.Fatalf("Walk visited %v, want x then y", leaves)
+	}
+	Walk(nil, func(Recorder) { t.Fatal("Walk(nil) visited a leaf") })
+}

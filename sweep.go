@@ -175,7 +175,11 @@ func (sw *Sweep) ProgressTo(w io.Writer) *Sweep {
 // the recorder it returns (nil to skip the job) receives that run's event
 // stream. The factory is called from worker goroutines and must be safe
 // for concurrent use; the recorders it returns are each driven by a single
-// engine. Recorders implementing obs.Flusher are flushed when their job's
+// engine, except in a cluster sweep, where every channel of the job's
+// cluster drives the job's recorder (so a recorder that samples engine
+// state, such as a Collector, fails a cluster job). A Collector attached
+// here samples its job's run exactly as on a direct run. Recorders
+// implementing obs.Flusher are flushed when their job's
 // run completes, and a flush error fails the sweep. To multiplex jobs into
 // one file, give each job's sink a distinguishing label over a shared
 // NewSyncWriter-wrapped writer:
@@ -458,8 +462,10 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 // parallelizes across jobs. A per-job recorder, if any, is shared by all
 // channels: with oblivious routers the channels run one after another, so
 // the streams concatenate per channel; with backlog-aware routers they
-// interleave in epoch order. Cluster recorders are flushed by the cluster
-// executor itself.
+// interleave in epoch order. A recorder that samples engine state (a
+// Collector) cannot be shared that way, so a cluster sweep observed by one
+// fails its jobs. Cluster recorders are flushed by the cluster executor
+// itself.
 func (sw *Sweep) runClusterJob(sc Scenario, rec Recorder) (Result, error) {
 	if len(sc.Classes) > 0 {
 		return Result{}, fmt.Errorf("lowsensing: cluster sweeps do not support multi-class scenarios")

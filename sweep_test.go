@@ -2,6 +2,8 @@ package lowsensing_test
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"lowsensing"
@@ -279,6 +281,53 @@ func TestSweepSpecRejectsBadInput(t *testing.T) {
 		}
 		if _, err := ss.Sweep(); err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+// TestSweepObserveCollector: a Collector attached through Sweep.Observe
+// samples each job's run exactly as it samples the same run made
+// directly.
+func TestSweepObserveCollector(t *testing.T) {
+	ns := []int64{16, 48}
+	const reps = 2
+	var mu sync.Mutex
+	got := map[[2]int]*lowsensing.Collector{}
+	sw := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(16)}).
+		ID("observe-collector").
+		Seed(29).
+		Reps(reps).
+		Workers(2).
+		VaryInt("n", ns, func(sc *lowsensing.Scenario, n int64) {
+			sc.Arrivals = lowsensing.BatchArrivals(n)
+		}).
+		Observe(func(p lowsensing.Point, rep int) lowsensing.Recorder {
+			col := &lowsensing.Collector{Every: 4}
+			mu.Lock()
+			got[[2]int{p.Index, rep}] = col
+			mu.Unlock()
+			return col
+		})
+	if _, err := sw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ns)*reps {
+		t.Fatalf("observed %d jobs, want %d", len(got), len(ns)*reps)
+	}
+	for pi, n := range ns {
+		for rep := 0; rep < reps; rep++ {
+			direct := &lowsensing.Collector{Every: 4}
+			if _, err := (lowsensing.Scenario{
+				Seed:     runner.DeriveSeed(29, "observe-collector", pi, rep),
+				Arrivals: lowsensing.BatchArrivals(n),
+			}).Simulation(lowsensing.WithRecorder(direct)).Run(); err != nil {
+				t.Fatal(err)
+			}
+			swept := got[[2]int{pi, rep}].Samples()
+			if len(swept) == 0 || !reflect.DeepEqual(swept, direct.Samples()) {
+				t.Fatalf("point %d rep %d: sweep collector took %d samples, direct run %d, or they differ",
+					pi, rep, len(swept), len(direct.Samples()))
+			}
 		}
 	}
 }
