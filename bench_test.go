@@ -196,39 +196,6 @@ func BenchmarkEngineJammedLSB(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleNext measures the per-event cost of the core algorithm's
-// scheduling path (geometric gap + send coin).
-func BenchmarkScheduleNext(b *testing.B) {
-	p, err := core.NewPacket(core.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := prng.New(1)
-	var sink int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot, _ := p.ScheduleNext(int64(i), rng)
-		sink ^= slot
-	}
-	_ = sink
-}
-
-// BenchmarkObserve measures the window-update cost.
-func BenchmarkObserve(b *testing.B) {
-	p, err := core.NewPacket(core.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := []sim.Observation{
-		{Outcome: sim.OutcomeNoisy},
-		{Outcome: sim.OutcomeEmpty},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Observe(obs[i&1])
-	}
-}
-
 // BenchmarkEngineMemory demonstrates the engine's O(backlog) memory model
 // on a 1M-packet Poisson stream: the default streaming mode keeps only the
 // free-listed slot table and constant-size accumulators live, while the

@@ -11,11 +11,21 @@
 // noise it grows by the same factor; on hearing someone else's success it
 // is unchanged. The paper fixes k = 3; the exponent is configurable here so
 // ablation experiments can probe the design space.
+//
+// Every per-access quantity — ln w, the two probabilities and ln(1 - access
+// probability) for the geometric gap — is a pure function of w, and w
+// changes only when an access hears silence or noise: the paper's slow
+// feedback loop. A Packet therefore caches them and refreshes the cache
+// exactly when w changes, so an access whose window is unchanged does no
+// logarithms or powers at all. The cached values are computed by the same
+// function as Config's exported helpers, so they are bit-identical to
+// calling those helpers on every access.
 package core
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"lowsensing/channel"
 	"lowsensing/internal/dist"
@@ -75,8 +85,12 @@ func (c Config) Validate() error {
 	if !(c.LnPower >= 0) || math.IsNaN(c.LnPower) {
 		return fmt.Errorf("core: LnPower must be >= 0, got %v", c.LnPower)
 	}
-	if p := c.C * math.Pow(math.Log(c.WMin), c.LnPower) / c.WMin; p > 1 {
+	p := c.scale(math.Log(c.WMin)) / c.WMin
+	if p > 1 {
 		return fmt.Errorf("core: access probability at WMin is %v > 1; need C·ln^k(WMin) <= WMin", p)
+	}
+	if !(p > 0) {
+		return fmt.Errorf("core: access probability at WMin is %v, not > 0; C·ln^k(WMin) underflows", p)
 	}
 	if c.Update != UpdatePaper && c.Update != UpdateDoubling {
 		return fmt.Errorf("core: unknown update rule %d", c.Update)
@@ -84,49 +98,65 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// AccessProb returns the probability that a packet with window w accesses
-// (listens to) the channel in a slot: min(1, c·ln^k(w)/w).
-func (c Config) AccessProb(w float64) float64 {
-	p := c.C * math.Pow(math.Log(w), c.LnPower) / w
-	if p > 1 {
-		return 1
+// scale returns c·ln^k(w) given ln w. The access probability is scale/w
+// and the send probability given access 1/scale, each clamped to 1.
+func (c Config) scale(lnw float64) float64 {
+	return c.C * math.Pow(lnw, c.LnPower)
+}
+
+// step returns the multiplicative update 1 + 1/(c·ln w) given ln w.
+func (c Config) step(lnw float64) float64 {
+	return 1 + 1/(c.C*lnw)
+}
+
+// window is the per-window state of Figure 1: a window w and every quantity
+// an access needs that depends only on w.
+type window struct {
+	w      float64
+	lnw    float64 // ln w
+	access float64 // min(1, c·ln^k(w)/w)
+	lnq    float64 // ln(1 - access), the geometric gap's log
+	send   float64 // min(1, 1/(c·ln^k(w)))
+}
+
+// window computes the per-window state for w. It is the one place the
+// access and send probabilities are computed: the exported helpers and the
+// Packet cache both read it.
+//
+//lsbvet:hotpath
+func (c Config) window(w float64) window {
+	lnw := math.Log(w)
+	cp := c.scale(lnw)
+	access, send := cp/w, 1/cp
+	if access > 1 {
+		access = 1
 	}
-	return p
-}
-
-// SendProbGivenAccess returns the probability that an accessing packet also
-// sends: min(1, 1/(c·ln^k(w))). The unconditional send probability is the
-// product AccessProb(w)·SendProbGivenAccess(w), which equals 1/w whenever
-// neither factor is clamped.
-func (c Config) SendProbGivenAccess(w float64) float64 {
-	p := 1 / (c.C * math.Pow(math.Log(w), c.LnPower))
-	if p > 1 {
-		return 1
+	if send > 1 {
+		send = 1
 	}
-	return p
+	return window{w: w, lnw: lnw, access: access, lnq: math.Log1p(-access), send: send}
 }
 
-// UpdateFactor returns the multiplicative step 1 + 1/(c·ln w) used by both
-// back-off (grow) and back-on (shrink).
-func (c Config) UpdateFactor(w float64) float64 {
-	return 1 + 1/(c.C*math.Log(w))
-}
-
-// Backoff returns the window after hearing a noisy slot.
-func (c Config) Backoff(w float64) float64 {
+// grow returns the window after hearing a noisy slot, given w and ln w.
+//
+//lsbvet:hotpath
+func (c Config) grow(w, lnw float64) float64 {
 	if c.Update == UpdateDoubling {
 		return w * 2
 	}
-	return w * c.UpdateFactor(w)
+	return w * c.step(lnw)
 }
 
-// Backon returns the window after hearing a silent slot, floored at WMin.
-func (c Config) Backon(w float64) float64 {
+// shrink returns the window after hearing a silent slot, floored at WMin,
+// given w and ln w.
+//
+//lsbvet:hotpath
+func (c Config) shrink(w, lnw float64) float64 {
 	var w2 float64
 	if c.Update == UpdateDoubling {
 		w2 = w / 2
 	} else {
-		w2 = w / c.UpdateFactor(w)
+		w2 = w / c.step(lnw)
 	}
 	if w2 < c.WMin {
 		return c.WMin
@@ -134,13 +164,61 @@ func (c Config) Backon(w float64) float64 {
 	return w2
 }
 
+// AccessProb returns the probability that a packet with window w accesses
+// (listens to) the channel in a slot: min(1, c·ln^k(w)/w).
+func (c Config) AccessProb(w float64) float64 { return c.window(w).access }
+
+// SendProbGivenAccess returns the probability that an accessing packet also
+// sends: min(1, 1/(c·ln^k(w))). The unconditional send probability is the
+// product AccessProb(w)·SendProbGivenAccess(w), which equals 1/w whenever
+// neither factor is clamped.
+func (c Config) SendProbGivenAccess(w float64) float64 { return c.window(w).send }
+
+// UpdateFactor returns the multiplicative step 1 + 1/(c·ln w) used by both
+// back-off (grow) and back-on (shrink).
+func (c Config) UpdateFactor(w float64) float64 { return c.step(math.Log(w)) }
+
+// Backoff returns the window after hearing a noisy slot.
+func (c Config) Backoff(w float64) float64 { return c.grow(w, math.Log(w)) }
+
+// Backon returns the window after hearing a silent slot, floored at WMin.
+func (c Config) Backon(w float64) float64 { return c.shrink(w, math.Log(w)) }
+
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
 // channel.Station (event-driven scheduling) as well as the per-slot Decide
 // interface used by the real-time livenet substrate. A Packet is not safe
 // for concurrent use.
+//
+// A Packet caches its per-window state (see the package doc): the cached
+// quantities are a pure function of w and are refreshed exactly when
+// Observe changes w, so ScheduleNext and Decide only read them. The
+// immutable configuration and the state at WMin are shared by every packet
+// of a configuration, which keeps a Packet at 48 bytes.
 type Packet struct {
-	cfg Config
-	w   float64
+	sh *shared
+	window
+}
+
+// shared is what every packet of one configuration reads and nobody writes.
+type shared struct {
+	cfg  Config
+	init window // the state at WMin, computed once
+}
+
+// lastShared memoizes the most recent shared state. Sweeps, clusters and
+// repeated runs build a factory per run from the same Config; reusing the
+// immutable state keeps factory construction at one allocation (its
+// closure), which the allocation-gate benchmarks hold. Which copy a packet
+// points to never affects a result.
+var lastShared atomic.Pointer[shared]
+
+func newShared(cfg Config) *shared {
+	if sh := lastShared.Load(); sh != nil && sh.cfg == cfg {
+		return sh
+	}
+	sh := &shared{cfg: cfg, init: cfg.window(cfg.WMin)}
+	lastShared.Store(sh)
+	return sh
 }
 
 var (
@@ -155,7 +233,8 @@ func NewPacket(cfg Config) (*Packet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Packet{cfg: cfg, w: cfg.WMin}, nil
+	sh := newShared(cfg)
+	return &Packet{sh: sh, window: sh.init}, nil
 }
 
 // NewFactory validates cfg once and returns a channel.StationFactory producing
@@ -164,8 +243,9 @@ func NewFactory(cfg Config) (channel.StationFactory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sh := newShared(cfg)
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Packet{cfg: cfg, w: cfg.WMin}
+		return &Packet{sh: sh, window: sh.init}
 	}, nil
 }
 
@@ -182,20 +262,22 @@ func MustFactory(cfg Config) channel.StationFactory {
 // Reset implements channel.ReusableStation: a recycled packet restarts at
 // window WMin, exactly as NewFactory constructs it (the factory draws
 // nothing from the rng, so neither does Reset).
-func (p *Packet) Reset(_ int64, _ *prng.Source) { p.w = p.cfg.WMin }
+func (p *Packet) Reset(_ int64, _ *prng.Source) { p.window = p.sh.init }
 
 // Window returns the packet's current window size.
 func (p *Packet) Window() float64 { return p.w }
 
 // Config returns the packet's configuration.
-func (p *Packet) Config() Config { return p.cfg }
+func (p *Packet) Config() Config { return p.sh.cfg }
 
 // ScheduleNext implements channel.Station. The access probability is constant
 // between accesses (the window changes only on access), so the gap to the
 // next access is exactly Geometric(AccessProb(w)).
+//
+//lsbvet:hotpath
 func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	gap := dist.Geometric(rng, p.cfg.AccessProb(p.w))
-	send := rng.Bernoulli(p.cfg.SendProbGivenAccess(p.w))
+	gap := dist.GeometricLog1p(rng, p.access, p.lnq)
+	send := rng.Bernoulli(p.send)
 	return from + gap - 1, send
 }
 
@@ -203,26 +285,45 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 // the channel this slot and, if so, whether it sends. It is equivalent in
 // distribution to ScheduleNext and is used by per-slot substrates (livenet)
 // and by the reference engine in tests.
+//
+//lsbvet:hotpath
 func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
-	if !rng.Bernoulli(p.cfg.AccessProb(p.w)) {
+	if !rng.Bernoulli(p.access) {
 		return false, false
 	}
-	return true, rng.Bernoulli(p.cfg.SendProbGivenAccess(p.w))
+	return true, rng.Bernoulli(p.send)
 }
 
 // Observe implements channel.Station: apply the multiplicative window update
 // for the observed outcome. A packet that sent and did not succeed knows
 // the slot was noisy without listening (paper footnote 2); a heard success
 // (someone else's) leaves the window unchanged.
+//
+//lsbvet:hotpath
 func (p *Packet) Observe(obs channel.Observation) {
 	switch {
 	case obs.Succeeded:
 		// Departing; no state to maintain.
 	case obs.Outcome == channel.OutcomeNoisy:
-		p.w = p.cfg.Backoff(p.w)
+		p.moveTo(p.sh.cfg.grow(p.w, p.lnw))
 	case obs.Outcome == channel.OutcomeEmpty:
-		p.w = p.cfg.Backon(p.w)
+		p.moveTo(p.sh.cfg.shrink(p.w, p.lnw))
 	case obs.Outcome == channel.OutcomeSuccess:
 		// Someone else succeeded: no change.
+	}
+}
+
+// moveTo sets the window to w and refreshes the cache, doing no work when w
+// is unchanged (silence heard at WMin) and copying the shared state when w
+// is WMin.
+//
+//lsbvet:hotpath
+func (p *Packet) moveTo(w float64) {
+	switch w {
+	case p.w:
+	case p.sh.init.w:
+		p.window = p.sh.init
+	default:
+		p.window = p.sh.cfg.window(w)
 	}
 }

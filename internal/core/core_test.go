@@ -32,6 +32,8 @@ func TestConfigValidate(t *testing.T) {
 		{"inf C", Config{C: math.Inf(1), WMin: 8, LnPower: 3}, false},
 		{"wmin too small", Config{C: 0.5, WMin: 2, LnPower: 3}, false},
 		{"access prob > 1", Config{C: 10, WMin: 8, LnPower: 3}, false},
+		{"access prob underflows", Config{C: 0.5, WMin: 2.5, LnPower: 10000}, false},
+		{"denormal C", Config{C: 5e-324, WMin: 3, LnPower: 0}, false},
 		{"negative power", Config{C: 0.5, WMin: 8, LnPower: -1}, false},
 		{"power zero ok", Config{C: 0.5, WMin: 8, LnPower: 0}, true},
 	}

@@ -31,15 +31,28 @@ const maxGeometric = int64(1) << 62
 // panics, since the waiting time would be infinite; draws that would exceed
 // 2^62 (possible only for p below ~1e-18) are truncated there so slot
 // arithmetic cannot overflow.
+//
+//lsbvet:hotpath
 func Geometric(rng *prng.Source, p float64) int64 {
+	return GeometricLog1p(rng, p, math.Log1p(-p))
+}
+
+// GeometricLog1p is Geometric with ln(1-p) supplied by the caller as
+// lnq = math.Log1p(-p). Callers whose p changes rarely compute lnq once per
+// change instead of once per draw; the draw, its edge cases and the
+// uniforms it consumes are exactly Geometric's. lnq is read only when
+// 0 < p < 1.
+//
+//lsbvet:hotpath
+func GeometricLog1p(rng *prng.Source, p, lnq float64) int64 {
 	if !(p > 0) { // also catches NaN
-		panic(fmt.Sprintf("dist: Geometric requires p > 0, got %v", p))
+		geometricPanic(p)
 	}
 	if p >= 1 {
 		return 1
 	}
-	// ln(1-p) is finite and negative here because 0 < p < 1.
-	g := math.Ceil(math.Log(rng.Float64Open()) / math.Log1p(-p))
+	// lnq = ln(1-p) is finite and negative here because 0 < p < 1.
+	g := math.Ceil(math.Log(rng.Float64Open()) / lnq)
 	if g < 1 {
 		// Float64Open can return values so close to 1 that the ratio rounds
 		// to 0; the inverse CDF maps that region to the minimum value 1.
@@ -49,6 +62,14 @@ func Geometric(rng *prng.Source, p float64) int64 {
 		return maxGeometric
 	}
 	return int64(g)
+}
+
+// geometricPanic keeps fmt's formatting out of the hot samplers' bodies
+// and inlining budgets.
+//
+//go:noinline
+func geometricPanic(p float64) {
+	panic(fmt.Sprintf("dist: Geometric requires p > 0, got %v", p))
 }
 
 // poissonPTRSCutover is the λ above which Poisson switches from Knuth's

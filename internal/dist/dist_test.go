@@ -98,6 +98,46 @@ func TestGeometricEdges(t *testing.T) {
 	}
 }
 
+// TestGeometricLog1pMatchesGeometric pins that the variant taking a
+// precomputed ln(1-p) returns Geometric's values and consumes exactly its
+// draws, including the draw-free p = 1 case.
+func TestGeometricLog1pMatchesGeometric(t *testing.T) {
+	for _, p := range []float64{1e-18, 1e-6, 0.5, 1 - 1e-16, 1} {
+		a, b := prng.New(11), prng.New(11)
+		lnq := math.Log1p(-p)
+		for i := 0; i < 10_000; i++ {
+			ga, gb := Geometric(a, p), GeometricLog1p(b, p, lnq)
+			if ga != gb || *a != *b {
+				t.Fatalf("p=%v draw %d: Geometric = %d, GeometricLog1p = %d, sources equal: %v", p, i, ga, gb, *a == *b)
+			}
+		}
+		if p == 1 && *a != *prng.New(11) {
+			t.Fatal("Geometric(p=1) consumed a draw")
+		}
+	}
+}
+
+func BenchmarkGeometric(b *testing.B) {
+	const p = 0.01
+	b.Run("p", func(b *testing.B) {
+		rng := prng.New(1)
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			sink += Geometric(rng, p)
+		}
+		_ = sink
+	})
+	b.Run("log1p", func(b *testing.B) {
+		rng := prng.New(1)
+		lnq := math.Log1p(-p)
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			sink += GeometricLog1p(rng, p, lnq)
+		}
+		_ = sink
+	})
+}
+
 func TestPoissonMoments(t *testing.T) {
 	// Spans both the Knuth branch (λ < 10) and the PTRS branch (λ >= 10).
 	for _, lambda := range []float64{0.5, 3, 9.5, 12, 50, 400} {

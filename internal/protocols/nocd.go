@@ -48,11 +48,15 @@ func NewNoCDFactory(inner channel.StationFactory, mode CDMode) (channel.StationF
 }
 
 // ScheduleNext implements channel.Station.
+//
+//lsbvet:hotpath
 func (n *noCD) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	return n.inner.ScheduleNext(from, rng)
 }
 
 // Observe implements channel.Station, degrading the outcome before delivery.
+//
+//lsbvet:hotpath
 func (n *noCD) Observe(obs channel.Observation) {
 	// A sender always knows whether its own transmission succeeded; a
 	// failed send is unambiguous noise even without collision detection

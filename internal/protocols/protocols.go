@@ -60,11 +60,15 @@ func (b *BEB) Reset(_ int64, _ *prng.Source) { b.window = b.init }
 func (b *BEB) Window() float64 { return float64(b.window) }
 
 // ScheduleNext implements channel.Station.
+//
+//lsbvet:hotpath
 func (b *BEB) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	return from + rng.Int63n(b.window), true
 }
 
 // Observe implements channel.Station: double the window after a failed send.
+//
+//lsbvet:hotpath
 func (b *BEB) Observe(obs channel.Observation) {
 	if obs.Sent && !obs.Succeeded {
 		b.window *= 2
@@ -111,6 +115,8 @@ func (p *Poly) Window() float64 {
 }
 
 // ScheduleNext implements channel.Station.
+//
+//lsbvet:hotpath
 func (p *Poly) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	w := int64(p.Window())
 	if w < 1 {
@@ -120,6 +126,8 @@ func (p *Poly) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 }
 
 // Observe implements channel.Station.
+//
+//lsbvet:hotpath
 func (p *Poly) Observe(obs channel.Observation) {
 	if obs.Sent && !obs.Succeeded {
 		p.collisions++
@@ -134,7 +142,8 @@ var (
 // Aloha is slotted ALOHA with a fixed transmission probability: each slot,
 // send with probability p. Send-only, no adaptation.
 type Aloha struct {
-	p float64
+	p   float64
+	lnq float64 // ln(1-p), for the geometric gap
 }
 
 // NewAlohaFactory returns fixed-rate slotted ALOHA stations. p must be in
@@ -143,8 +152,9 @@ func NewAlohaFactory(p float64) (channel.StationFactory, error) {
 	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("protocols: Aloha p must be in (0,1], got %v", p)
 	}
+	lnq := math.Log1p(-p)
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Aloha{p: p}
+		return &Aloha{p: p, lnq: lnq}
 	}, nil
 }
 
@@ -152,8 +162,10 @@ func NewAlohaFactory(p float64) (channel.StationFactory, error) {
 func (a *Aloha) Reset(int64, *prng.Source) {}
 
 // ScheduleNext implements channel.Station.
+//
+//lsbvet:hotpath
 func (a *Aloha) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	return from + dist.Geometric(rng, a.p) - 1, true
+	return from + dist.GeometricLog1p(rng, a.p, a.lnq) - 1, true
 }
 
 // Observe implements channel.Station (fixed-rate ALOHA never adapts).
@@ -198,6 +210,8 @@ func (g *GenieAloha) Reset(int64, *prng.Source) { g.shared.backlog++ }
 
 // ScheduleNext implements channel.Station: access every slot, send with
 // probability 1/backlog.
+//
+//lsbvet:hotpath
 func (g *GenieAloha) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	k := g.shared.backlog
 	if k < 1 {
@@ -207,6 +221,8 @@ func (g *GenieAloha) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 }
 
 // Observe implements channel.Station: a departing station updates the oracle.
+//
+//lsbvet:hotpath
 func (g *GenieAloha) Observe(obs channel.Observation) {
 	if obs.Succeeded {
 		g.shared.backlog--
@@ -278,11 +294,15 @@ func (m *MWU) Window() float64 { return 1 / m.p }
 
 // ScheduleNext implements channel.Station: MWU accesses (listens in) every
 // slot.
+//
+//lsbvet:hotpath
 func (m *MWU) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	return from, rng.Bernoulli(m.p)
 }
 
 // Observe implements channel.Station.
+//
+//lsbvet:hotpath
 func (m *MWU) Observe(obs channel.Observation) {
 	switch obs.Outcome {
 	case channel.OutcomeEmpty:
@@ -308,8 +328,9 @@ var (
 // control: identical energy profile shape to ALOHA but with configurable
 // listening.
 type Fixed struct {
-	pSend   float64
-	pListen float64
+	pAccess          float64 // pSend + pListen - pSend·pListen
+	lnq              float64 // ln(1-pAccess), for the geometric gap
+	pSendGivenAccess float64
 }
 
 // NewFixedFactory returns stations that send with probability pSend and
@@ -322,22 +343,26 @@ func NewFixedFactory(pSend, pListen float64) (channel.StationFactory, error) {
 	if !(pListen >= 0 && pListen <= 1) {
 		return nil, fmt.Errorf("protocols: Fixed pListen must be in [0,1], got %v", pListen)
 	}
+	// Send and listen decisions are independent; conditioned on accessing,
+	// the send flag is set with the conditional probability of a send.
+	pAccess := pSend + pListen - pSend*pListen
+	f := Fixed{pAccess: pAccess, lnq: math.Log1p(-pAccess), pSendGivenAccess: pSend / pAccess}
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Fixed{pSend: pSend, pListen: pListen}
+		st := f
+		return &st
 	}, nil
 }
 
 // Reset implements channel.ReusableStation: Fixed is stateless.
 func (f *Fixed) Reset(int64, *prng.Source) {}
 
-// ScheduleNext implements channel.Station. The access probability is
-// pSend + pListen - pSend·pListen (send and listen decisions independent);
-// conditioned on accessing, the send flag is set with the conditional
-// probability of a send given access.
+// ScheduleNext implements channel.Station: a geometric gap to the next
+// access, then the send coin given access.
+//
+//lsbvet:hotpath
 func (f *Fixed) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	pAccess := f.pSend + f.pListen - f.pSend*f.pListen
-	gap := dist.Geometric(rng, pAccess)
-	send := rng.Bernoulli(f.pSend / pAccess)
+	gap := dist.GeometricLog1p(rng, f.pAccess, f.lnq)
+	send := rng.Bernoulli(f.pSendGivenAccess)
 	return from + gap - 1, send
 }
 

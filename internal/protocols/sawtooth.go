@@ -1,6 +1,8 @@
 package protocols
 
 import (
+	"math"
+
 	"lowsensing/channel"
 	"lowsensing/internal/dist"
 	"lowsensing/prng"
@@ -44,6 +46,16 @@ func (s *Sawtooth) Reset(_ int64, _ *prng.Source) { s.startEpoch(1) }
 // tests that force endless rescheduling.
 const maxEpoch = 40
 
+// sawtoothLnq[k] is ln(1 - 2^-k), the log the geometric draw of a window-2^k
+// sub-phase needs, for every window the sweep can reach. Entry 0 (p = 1)
+// is never read: a window-1 sub-phase sends in its first slot, draw-free.
+var sawtoothLnq = func() (t [maxEpoch + 1]float64) {
+	for k := range t {
+		t[k] = math.Log1p(-1 / float64(int64(1)<<k))
+	}
+	return t
+}()
+
 func (s *Sawtooth) startEpoch(i int) {
 	if i > maxEpoch {
 		i = maxEpoch
@@ -60,6 +72,8 @@ func (s *Sawtooth) window() int64 { return 1 << uint(s.epoch-s.sub) }
 func (s *Sawtooth) Window() float64 { return float64(s.window()) }
 
 // advance moves to the next sub-phase (or next epoch).
+//
+//lsbvet:hotpath
 func (s *Sawtooth) advance() {
 	s.sub++
 	if s.sub > s.epoch {
@@ -71,15 +85,17 @@ func (s *Sawtooth) advance() {
 
 // ScheduleNext implements channel.Station: find the next slot this packet
 // sends, walking sub-phases until a geometric draw lands inside one.
+//
+//lsbvet:hotpath
 func (s *Sawtooth) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	offset := int64(0)
 	for {
-		w := s.window()
-		g := dist.Geometric(rng, 1/float64(w))
+		k := s.epoch - s.sub // the sub-phase's window is 2^k
+		g := dist.GeometricLog1p(rng, 1/float64(s.window()), sawtoothLnq[k])
 		if g <= s.remaining {
 			s.remaining -= g
 			if s.remaining == 0 {
-				defer s.advance()
+				s.advance()
 			}
 			return from + offset + g - 1, true
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lowsensing/channel"
+	"lowsensing/internal/dist"
 	"lowsensing/prng"
 )
 
@@ -122,5 +123,83 @@ func TestSawtoothPhaseStructure(t *testing.T) {
 	}
 	if s.Window() != 4 {
 		t.Fatalf("Window() = %v", s.Window())
+	}
+}
+
+// TestHoistedSamplersMatchPerDraw pins that Sawtooth, Aloha and Fixed, which
+// precompute their geometric samplers' logs, return the same slots and send
+// flags as computing every probability per draw and calling dist.Geometric,
+// and consume the same draws.
+func TestHoistedSamplersMatchPerDraw(t *testing.T) {
+	// Sawtooth: the per-draw walk, run on a twin state. 2000 sends pass the
+	// epoch cap, so every table entry (including the draw-free window 1) is
+	// read.
+	s, ref := &Sawtooth{}, &Sawtooth{}
+	s.startEpoch(1)
+	ref.startEpoch(1)
+	rng := prng.New(21)
+	for i := int64(0); i < 2000; i++ {
+		refRng := *rng
+		want := refSawtoothNext(ref, i, &refRng)
+		got, send := s.ScheduleNext(i, rng)
+		if got != want || !send || *s != *ref || *rng != refRng {
+			t.Fatalf("sawtooth call %d: slot %d, reference %d (state %+v vs %+v)", i, got, want, *s, *ref)
+		}
+	}
+	if s.epoch != maxEpoch {
+		t.Fatalf("walk stopped at epoch %d, want the cap %d", s.epoch, maxEpoch)
+	}
+
+	for _, p := range []float64{1, 0.5, 1e-3} {
+		f, err := NewAlohaFactory(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := f(0, nil)
+		rng := prng.New(22)
+		for i := int64(0); i < 1000; i++ {
+			refRng := *rng
+			want := i + dist.Geometric(&refRng, p) - 1
+			if got, _ := a.ScheduleNext(i, rng); got != want || *rng != refRng {
+				t.Fatalf("aloha p=%v call %d: slot %d, reference %d", p, i, got, want)
+			}
+		}
+	}
+
+	for _, c := range [][2]float64{{1, 0}, {0.25, 0}, {0.25, 0.5}, {1e-3, 1}} {
+		pSend, pListen := c[0], c[1]
+		f, err := NewFixedFactory(pSend, pListen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := f(0, nil)
+		rng := prng.New(23)
+		for i := int64(0); i < 1000; i++ {
+			refRng := *rng
+			pAccess := pSend + pListen - pSend*pListen
+			want := i + dist.Geometric(&refRng, pAccess) - 1
+			wantSend := refRng.Bernoulli(pSend / pAccess)
+			if got, send := st.ScheduleNext(i, rng); got != want || send != wantSend || *rng != refRng {
+				t.Fatalf("fixed %v call %d: (%d, %v), reference (%d, %v)", c, i, got, send, want, wantSend)
+			}
+		}
+	}
+}
+
+// refSawtoothNext is Sawtooth.ScheduleNext computing each sub-phase's
+// probability and log per draw.
+func refSawtoothNext(s *Sawtooth, from int64, rng *prng.Source) int64 {
+	offset := int64(0)
+	for {
+		g := dist.Geometric(rng, 1/float64(s.window()))
+		if g <= s.remaining {
+			s.remaining -= g
+			if s.remaining == 0 {
+				s.advance()
+			}
+			return from + offset + g - 1
+		}
+		offset += s.remaining
+		s.advance()
 	}
 }

@@ -167,6 +167,9 @@ func TestScenarioValidate(t *testing.T) {
 		{Arrivals: lowsensing.BatchArrivals(8), Jammer: lowsensing.BurstJamming(5, 5)},                                          // empty burst
 		{Arrivals: lowsensing.BatchArrivals(8), MaxSlots: -5},                                                                   // negative slot cap
 		{Arrivals: lowsensing.PoissonArrivals(1e308, 1)},                                                                        // unsampleable rate
+		// LSB access probability at WMin underflows to 0.
+		{Arrivals: lowsensing.BatchArrivals(4), Protocol: lowsensing.LowSensing(lowsensing.Config{C: 0.5, WMin: 2.5, LnPower: 10000})},
+		{Arrivals: lowsensing.BatchArrivals(4), Protocol: lowsensing.LowSensing(lowsensing.Config{C: 5e-324, WMin: 3, LnPower: 0})},
 		// Built-in kinds take their typed fields and reject params; one
 		// case per registry. Registered kinds keep reading params (see
 		// ExampleRegisterProtocol and TestSweepPointParamsIsolated).
@@ -201,6 +204,10 @@ func TestParseScenarioStrict(t *testing.T) {
 		// sampler), so parsing must.
 		"unsampleable poisson rate": `{"arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
 		"negative max_slots":        `{"arrivals": {"kind": "batch", "n": 4}, "max_slots": -5}`,
+		// The LSB access probability at WMin underflows to 0, which Run
+		// would hit as a geometric sampler panic.
+		"lsb access prob underflows": `{"arrivals":{"kind":"batch","n":4},"protocol":{"kind":"lsb","config":{"C":0.5,"WMin":2.5,"LnPower":10000}}}`,
+		"lsb denormal C":             `{"arrivals":{"kind":"batch","n":4},"protocol":{"kind":"lsb","config":{"C":5e-324,"WMin":3,"LnPower":0}}}`,
 	}
 	for name, spec := range rejected {
 		if _, err := lowsensing.ParseScenario([]byte(spec)); err == nil {
