@@ -184,7 +184,6 @@ func merge(per []sim.Result, routed []int64) Result {
 		s.SlotsResolved += cr.EngineStats.SlotsResolved
 		s.EventsScheduled += cr.EngineStats.EventsScheduled
 		s.WheelCascades += cr.EngineStats.WheelCascades
-		s.HeapOverflows += cr.EngineStats.HeapOverflows
 		s.BatchedSlots += cr.EngineStats.BatchedSlots
 		s.StationsBuilt += cr.EngineStats.StationsBuilt
 		s.StationsReused += cr.EngineStats.StationsReused

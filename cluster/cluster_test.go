@@ -39,17 +39,15 @@ func testConfig(t *testing.T, router Router) Config {
 	}
 }
 
-// scrubWheel zeroes the wheel-mechanics counters that legitimately differ
+// scrubWheel zeroes the wheel-mechanics counter that legitimately differs
 // between the pre-routed and epoch-synchronized executors: both resolve
 // the same slots and schedule the same events, but the timing wheel's
 // cursor walks different distances when a run is cut into epochs.
 func scrubWheel(r *Result) {
 	for i := range r.PerChannel {
 		r.PerChannel[i].EngineStats.WheelCascades = 0
-		r.PerChannel[i].EngineStats.HeapOverflows = 0
 	}
 	r.Total.EngineStats.WheelCascades = 0
-	r.Total.EngineStats.HeapOverflows = 0
 }
 
 // TestPreRoutedEpochDifferential is the cross-executor contract: for every

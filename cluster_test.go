@@ -195,6 +195,8 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 		"malformed":        `{"channels": `,
 		"poisson rate":     `{"channels": 2, "arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
 		"negative cap":     `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "max_slots": -5}`,
+		"cap past 2^60":    `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "max_slots": 1152921504606846977}`,
+		"down past 2^60":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "faults": {"kind": "crash", "rate": 1, "down": 9223372036854775807}}`,
 	}
 	for name, spec := range cases {
 		if _, err := lowsensing.ParseClusterScenario([]byte(spec)); err == nil {

@@ -34,14 +34,17 @@ type FlashCrowd struct {
 }
 
 // NewFlashCrowd returns a flash-crowd process. It returns an error if
-// slot is negative or n <= 0 (an empty crowd is a configuration mistake,
-// not a degenerate case).
+// slot is negative, n <= 0 (an empty crowd is a configuration mistake,
+// not a degenerate case) or lifetime exceeds dist.MaxSlotSpan.
 func NewFlashCrowd(slot, n, lifetime int64) (*FlashCrowd, error) {
 	if slot < 0 {
 		return nil, fmt.Errorf("churn: flash-crowd slot must be >= 0, got %d", slot)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("churn: flash-crowd size must be > 0, got %d", n)
+	}
+	if lifetime > dist.MaxSlotSpan {
+		return nil, fmt.Errorf("churn: flash-crowd lifetime must be <= 2^60, got %d", lifetime)
 	}
 	return &FlashCrowd{slot: slot, n: n, lifetime: lifetime}, nil
 }
@@ -70,10 +73,10 @@ type Epochs struct {
 }
 
 // NewEpochs returns an epoch-renewal process. It returns an error if
-// period <= 0.
+// period is outside [1, dist.MaxSlotSpan].
 func NewEpochs(period int64) (*Epochs, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("churn: epoch period must be > 0, got %d", period)
+	if period <= 0 || period > dist.MaxSlotSpan {
+		return nil, fmt.Errorf("churn: epoch period must be in [1, 2^60], got %d", period)
 	}
 	return &Epochs{period: period}, nil
 }

@@ -17,10 +17,20 @@ import (
 	"lowsensing/prng"
 )
 
-// maxGeometric caps a geometric draw so callers adding gaps to int64 slot
-// counters can never overflow. A gap this long (2^62 slots) is unreachable
-// in any simulation the engine can run, so the truncation is theoretical.
-const maxGeometric = int64(1) << 62
+// MaxGeometric caps every gap a station may schedule ahead: geometric
+// draws here, and the backoff windows of the window-based protocols. A
+// gap this long (2^62 slots) is unreachable in any simulation the engine
+// can run, so the truncation is theoretical.
+//
+// Together with MaxSlotSpan it keeps slot arithmetic inside int64: every
+// slot a station schedules from is at most a run's MaxSlots plus one
+// configured span (a crash's down time, a churn lifetime or period), so
+// at most 2·2^60, and adding one gap of at most 2^62 stays below MaxInt64.
+const MaxGeometric = int64(1) << 62
+
+// MaxSlotSpan bounds every configured slot count: a run's MaxSlots, a
+// crash's down time, a churn lifetime or period. See MaxGeometric.
+const MaxSlotSpan = int64(1) << 60
 
 // Geometric returns the number of independent Bernoulli(p) trials up to and
 // including the first success: support {1, 2, ...}, mean 1/p.
@@ -58,8 +68,8 @@ func GeometricLog1p(rng *prng.Source, p, lnq float64) int64 {
 		// to 0; the inverse CDF maps that region to the minimum value 1.
 		return 1
 	}
-	if g >= float64(maxGeometric) {
-		return maxGeometric
+	if g >= float64(MaxGeometric) {
+		return MaxGeometric
 	}
 	return int64(g)
 }

@@ -81,7 +81,7 @@ func TestGeometricEdges(t *testing.T) {
 	// Tiny p must produce huge but bounded, positive gaps.
 	for i := 0; i < 100; i++ {
 		g := Geometric(rng, 1e-18)
-		if g < 1 || g > maxGeometric {
+		if g < 1 || g > MaxGeometric {
 			t.Fatalf("Geometric(p=1e-18) = %d out of [1, 2^62]", g)
 		}
 	}

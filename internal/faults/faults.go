@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"lowsensing/channel"
+	"lowsensing/internal/dist"
 	"lowsensing/prng"
 )
 
@@ -50,7 +51,8 @@ func NewSensing(falseBusy, falseIdle float64) (*Model, error) {
 // NewCrash returns a crash-only fault model: every non-succeeded channel
 // access crashes its station with probability rate, wiping its protocol
 // state; the station re-enters cold after down additional slots. It
-// returns an error if rate is outside (0, 1] or down is negative.
+// returns an error if rate is outside (0, 1] or down is outside
+// [0, dist.MaxSlotSpan].
 func NewCrash(rate float64, down int64) (*Model, error) {
 	if err := checkProb("crash", rate); err != nil {
 		return nil, err
@@ -58,14 +60,15 @@ func NewCrash(rate float64, down int64) (*Model, error) {
 	if rate == 0 {
 		return nil, fmt.Errorf("faults: crash model with rate zero injects nothing")
 	}
-	if down < 0 {
-		return nil, fmt.Errorf("faults: crash down time must be >= 0, got %d", down)
+	if down < 0 || down > dist.MaxSlotSpan {
+		return nil, fmt.Errorf("faults: crash down time must be in [0, 2^60], got %d", down)
 	}
 	return &Model{crashRate: rate, down: down}, nil
 }
 
 // NewFlaky combines sensing and crash faults in one model. At least one of
-// the three probabilities must be positive.
+// the three probabilities must be positive, and down is bounded as in
+// NewCrash.
 func NewFlaky(falseBusy, falseIdle, crashRate float64, down int64) (*Model, error) {
 	if err := checkProb("false-busy", falseBusy); err != nil {
 		return nil, err
@@ -79,8 +82,8 @@ func NewFlaky(falseBusy, falseIdle, crashRate float64, down int64) (*Model, erro
 	if falseBusy == 0 && falseIdle == 0 && crashRate == 0 {
 		return nil, fmt.Errorf("faults: flaky model with all probabilities zero injects nothing")
 	}
-	if down < 0 {
-		return nil, fmt.Errorf("faults: flaky down time must be >= 0, got %d", down)
+	if down < 0 || down > dist.MaxSlotSpan {
+		return nil, fmt.Errorf("faults: flaky down time must be in [0, 2^60], got %d", down)
 	}
 	return &Model{falseBusy: falseBusy, falseIdle: falseIdle, crashRate: crashRate, down: down}, nil
 }

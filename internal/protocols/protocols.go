@@ -30,8 +30,9 @@ import (
 
 // BEB is one packet running binary exponential backoff: it picks a uniform
 // slot within its current window, transmits there, and doubles the window
-// after every collision. It never listens (its only feedback is whether its
-// own transmission succeeded), making it oblivious in the paper's sense.
+// after every collision, saturating at dist.MaxGeometric. It never listens
+// (its only feedback is whether its own transmission succeeded), making it
+// oblivious in the paper's sense.
 type BEB struct {
 	window int64
 	init   int64
@@ -71,7 +72,7 @@ func (b *BEB) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 //lsbvet:hotpath
 func (b *BEB) Observe(obs channel.Observation) {
 	if obs.Sent && !obs.Succeeded {
-		b.window *= 2
+		b.window = 2 * min(b.window, dist.MaxGeometric/2)
 		if b.max > 0 && b.window > b.max {
 			b.window = b.max
 		}
@@ -85,7 +86,8 @@ var (
 )
 
 // Poly is polynomial backoff: after the k-th collision the window is
-// w0·(k+1)^alpha. Like BEB it is oblivious and send-only.
+// w0·(k+1)^alpha, saturating at dist.MaxGeometric. Like BEB it is
+// oblivious and send-only.
 type Poly struct {
 	w0         int64
 	alpha      float64
@@ -118,9 +120,9 @@ func (p *Poly) Window() float64 {
 //
 //lsbvet:hotpath
 func (p *Poly) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	w := int64(p.Window())
-	if w < 1 {
-		w = 1
+	w := dist.MaxGeometric
+	if f := p.Window(); f < float64(w) {
+		w = int64(f) // >= w0 >= 1
 	}
 	return from + rng.Int63n(w), true
 }

@@ -48,9 +48,9 @@ import (
 // surface (CurrentSlot, Last*, Backlog, ...) is maintained per slot so
 // engine-bound adversaries cannot tell the difference. EngineStats agree on
 // everything semantic (SlotsResolved, EventsScheduled, lifecycle counters);
-// only the wheel-mechanics counters (WheelCascades, HeapOverflows) and
-// BatchedSlots itself can differ. The batching on/off property test pins
-// all of this down for every registered protocol × jammer × arrival kind.
+// only the wheel-mechanics counter WheelCascades and BatchedSlots itself
+// can differ. The batching on/off property test pins all of this down
+// for every registered protocol × jammer × arrival kind.
 //
 // The path declines to engage (Engine.batchOK) when a Recorder needs the
 // per-slot event stream, when RetainPackets is set, when the

@@ -5,14 +5,16 @@ import (
 	"math"
 
 	"lowsensing/channel"
+	"lowsensing/internal/dist"
 	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
 // Params configures a simulation run. Arrivals and NewStation are required;
 // a nil Jammer means no jamming. MaxSlots bounds the run (0 means the
-// default cap); a run that still has packets at MaxSlots is truncated, not
-// an error, so experiments can measure steady state on infinite streams.
+// default cap; at most dist.MaxSlotSpan); a run that still has packets at
+// MaxSlots is truncated, not an error, so experiments can measure steady
+// state on infinite streams.
 type Params struct {
 	Seed       uint64
 	Arrivals   ArrivalSource
@@ -200,7 +202,8 @@ type stationState struct {
 }
 
 // NewEngine validates params and builds an engine. It returns an error if
-// Arrivals or NewStation is missing or MaxSlots is negative.
+// Arrivals or NewStation is missing or MaxSlots is outside
+// [0, dist.MaxSlotSpan].
 func NewEngine(p Params) (*Engine, error) {
 	if p.Arrivals == nil {
 		return nil, fmt.Errorf("sim: Params.Arrivals is required")
@@ -208,8 +211,8 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.NewStation == nil {
 		return nil, fmt.Errorf("sim: Params.NewStation is required")
 	}
-	if p.MaxSlots < 0 {
-		return nil, fmt.Errorf("sim: Params.MaxSlots must be >= 0, got %d", p.MaxSlots)
+	if p.MaxSlots < 0 || p.MaxSlots > dist.MaxSlotSpan {
+		return nil, fmt.Errorf("sim: Params.MaxSlots must be in [0, 2^60], got %d", p.MaxSlots)
 	}
 	if p.MaxSlots == 0 {
 		p.MaxSlots = DefaultMaxSlots
@@ -908,7 +911,6 @@ func (e *Engine) Stats() EngineStats {
 	s := e.stats
 	s.EventsScheduled = e.events.pushes
 	s.WheelCascades = e.events.cascades
-	s.HeapOverflows = e.events.overflows
 	s.PeakSlotTable = int64(len(e.stations))
 	return s
 }

@@ -2,30 +2,12 @@ package sim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
 )
-
-// schedQueue lets the scheduler benchmarks drive the timing wheel and the
-// heap baseline through the engine's access pattern behind one interface.
-type schedQueue interface {
-	Push(event)
-	popAtMost(limit int64) (event, bool)
-}
-
-// heapQueue adapts the 4-ary heap (the previous scheduler, still the
-// wheel's overflow level) to the wheel's popAtMost surface.
-type heapQueue struct{ q eventQueue }
-
-func (h *heapQueue) Push(ev event) { h.q.Push(ev) }
-func (h *heapQueue) popAtMost(limit int64) (event, bool) {
-	if h.q.Len() == 0 || h.q.Min().slot > limit {
-		return event{}, false
-	}
-	return h.q.Pop(), true
-}
 
 // BenchmarkEngineHotPath measures the engine's steady-state per-packet cost
 // end to end: arrivals injected, stations scheduled through the event
@@ -61,14 +43,10 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		b.ReportMetric(float64(events)/float64(packets), "accesses/packet")
 	}
 
-	// queue/*: the scheduler alone, driven exactly the way resolveSlot
-	// drives it — drain every event of the minimum slot, then reschedule
-	// each survivor to a pseudorandom future slot. ns/op is per event.
-	// The wheel's win over the heap baseline here is the tentpole claim.
-	// The loop is written once per concrete queue type, mirroring the
-	// engine, which holds the wheel as a concrete struct field: interface
-	// dispatch in the harness would charge both queues an indirection the
-	// engine never pays.
+	// queue/wheel/*: the scheduler alone, driven exactly the way
+	// resolveSlot drives it — drain every event of the minimum slot, then
+	// reschedule each survivor to a pseudorandom future slot. ns/op is per
+	// event.
 	wheelBench := func(live int) func(b *testing.B) {
 		return func(b *testing.B) {
 			q := &timingWheel{}
@@ -99,39 +77,8 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 		}
 	}
-	heapBench := func(live int) func(b *testing.B) {
-		return func(b *testing.B) {
-			q := &heapQueue{}
-			state := uint64(0x9e3779b97f4a7c15)
-			for i := 0; i < live; i++ {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				q.Push(event{slot: int64(state % 1024), id: int64(i), idx: int32(i)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; {
-				ev, ok := q.popAtMost(math.MaxInt64)
-				if !ok {
-					b.Fatal("queue drained")
-				}
-				t := ev.slot
-				for ok {
-					state ^= state << 13
-					state ^= state >> 7
-					state ^= state << 17
-					q.Push(event{slot: t + 1 + int64(state%1024), id: ev.id, idx: ev.idx})
-					n++
-					ev, ok = q.popAtMost(t)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		}
-	}
 	for _, live := range []int{256, 4096, 65536} {
-		b.Run("queue/wheel/live="+itoa(live), wheelBench(live))
-		b.Run("queue/heap/live="+itoa(live), heapBench(live))
+		b.Run("queue/wheel/live="+strconv.Itoa(live), wheelBench(live))
 	}
 
 	b.Run("lsb/bernoulli", func(b *testing.B) {

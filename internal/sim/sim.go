@@ -11,17 +11,16 @@
 // the active-slot total, and jammed slots inside skipped ranges are
 // accounted through Jammer.CountRange. This makes runs with large windows
 // (the common case for LOW-SENSING BACKOFF) cost O(total channel
-// accesses), not O(total slots) — and the wheel makes each access O(1)
-// amortized to schedule and extract, where the previous min-heap paid
-// O(log backlog).
+// accesses), not O(total slots) — and the wheel, whose levels span every
+// int64 slot, makes each access O(1) amortized to schedule and extract
+// however far ahead it lands.
 //
 // # Memory model
 //
 // The engine is built for streaming scale: live state is O(backlog), not
 // O(total arrivals), and the steady-state packet lifecycle allocates
 // nothing. The timing wheel threads its buckets through one node array
-// indexed by slot-table entry (an inlined 4-ary min-heap remains as its
-// far-future overflow level), departed packets' slot-table entries are
+// indexed by slot-table entry, departed packets' slot-table entries are
 // recycled through a free list — including the entry's embedded rng,
 // reinitialized in place, and its Station object when the protocol
 // implements channel.ReusableStation — and per-packet statistics are
@@ -178,12 +177,15 @@ type EngineStats struct {
 	// wheel; it equals total channel accesses plus one first-access event
 	// per packet.
 	EventsScheduled int64
-	// WheelCascades counts cursor advances that relocated a higher-level
-	// bucket (or pulled in a due overflow region). Each event cascades O(1)
-	// amortized times; a blow-up here means pathological scheduling.
+	// WheelCascades counts cursor advances that relocated an upper-level
+	// wheel bucket. Each event cascades at most once per level; a blow-up
+	// here means pathological scheduling.
 	WheelCascades int64
-	// HeapOverflows counts events scheduled past the wheel's 2^28-slot
-	// horizon into the far-future 4-ary min-heap — huge backoff windows.
+	// HeapOverflows is always 0.
+	//
+	// Deprecated: the timing wheel spans every slot, so no event overflows
+	// into a far-future heap any more. The field remains so code reading
+	// it keeps compiling.
 	HeapOverflows int64
 	// BatchedSlots counts resolved slots handled by the batch fast path —
 	// provably uncontended runs resolved without the event queue (see

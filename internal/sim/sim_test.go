@@ -82,6 +82,9 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Params{Arrivals: &batchSource{count: 1}, NewStation: factory, MaxSlots: -1}); err == nil {
 		t.Fatal("negative MaxSlots not rejected")
 	}
+	if _, err := NewEngine(Params{Arrivals: &batchSource{count: 1}, NewStation: factory, MaxSlots: 1<<60 + 1}); err == nil {
+		t.Fatal("MaxSlots past 2^60 not rejected")
+	}
 }
 
 func TestRunTwiceFails(t *testing.T) {

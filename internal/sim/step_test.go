@@ -52,13 +52,12 @@ func stepParams(t *testing.T, arr ArrivalSource, disableBatching bool) Params {
 	}
 }
 
-// scrubWheelStats zeroes the wheel-mechanics counters. Cutting a run into
+// scrubWheelStats zeroes the wheel-mechanics counter. Cutting a run into
 // epochs moves the wheel cursor differently (StepTo walks it to each
-// limit), so cascade/overflow counts are execution details the stepped
-// contract does not promise; everything else must be bit-equal.
+// limit), so cascade counts are execution details the stepped contract
+// does not promise; everything else must be bit-equal.
 func scrubWheelStats(r *Result) {
 	r.EngineStats.WheelCascades = 0
-	r.EngineStats.HeapOverflows = 0
 }
 
 // stepRun drives an engine through the stepped API over stepTrace,

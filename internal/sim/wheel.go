@@ -5,24 +5,37 @@ import (
 	"math/bits"
 )
 
-// timingWheel is the engine's event scheduler: a hierarchical timing wheel
-// that exploits the engine's monotone time advance for O(1) amortized
-// schedule/extract, replacing the O(log n) min-heap on the hot path while
-// preserving the heap's exact (slot, id) pop order.
+// event is one pending channel access: the station occupying slot-table
+// entry idx (carrying packet id) will access the channel at slot. The
+// packet id rides along because slot-table entries are recycled, so idx
+// alone no longer encodes arrival order; ordering by (slot, id) keeps the
+// engine's within-slot processing in arrival order, exactly as before the
+// table was recycled.
+type event struct {
+	slot int64
+	id   int64
+	idx  int32
+}
+
+// timingWheel is the engine's only event scheduler: a hierarchical timing
+// wheel (Varghese & Lauck, SOSP '87) whose levels span every non-negative
+// int64 slot, so any schedule — however far backoff windows grow — is O(1)
+// amortized to insert and extract, and pops come out in strict (slot, id)
+// order.
 //
 // # Structure
 //
 // The wheel keeps a time cursor cur — a lower bound on every pending
 // event's slot, advanced monotonically as events are located — a wide
-// exact level 0, and three upper levels of wheelSize buckets each, sized
-// in powers of two; an event lands at the lowest level whose span still
-// distinguishes it from the cursor (its slot and cur first differ in that
-// level's digit of the slot number):
+// exact level 0, and nine upper levels of wheelSize buckets each. An event
+// lands at the lowest level whose span still distinguishes it from the
+// cursor: the level holding the highest bit in which its slot and cur
+// differ.
 //
-//	level 0:  1024 buckets of 1 slot each — the cursor's 1024-slot block
-//	level 1:  64 buckets of 1024 slots    — the cursor's 64K-slot block
-//	level 2:  64 buckets of 64K slots     — the cursor's 4M-slot block
-//	level 3:  64 buckets of 4M slots      — the cursor's 256M-slot block
+//	level 0:   1024 buckets of 1 slot each — the cursor's 2^10-slot block
+//	level 1:   64 buckets of 2^10 slots    — the cursor's 2^16-slot block
+//	level l:   64 buckets of 2^(4+6l) slots — the cursor's 2^(10+6l) block
+//	level 9:   64 buckets of 2^58 slots    — all of int64 (10 + 9·6 = 64)
 //
 // Level 0 is deliberately much wider than the upper levels: backoff
 // windows in the hundreds of slots are the engine's steady state, and a
@@ -30,47 +43,41 @@ import (
 // popping. At 1024 slots the common schedule lands directly at level 0 and
 // never cascades at all. Its occupancy is a two-level bitmap — sixteen
 // 64-bit words plus one summary word whose bit i says word i is nonempty —
-// so "first pending slot" is still just two TrailingZeros64 scans.
-//
-// Events scheduled beyond the top level's horizon (slot - cur >= 2^28, the
-// far future: huge backoff windows) overflow into the existing 4-ary min-
-// heap (eventQueue), and are pulled back into the wheel when the cursor
-// reaches their 2^28-slot region. Every event therefore cascades down at
-// most a constant number of times over its life — O(1) amortized — and
-// locating the minimum is a few bitmap scans.
+// so "first pending slot" is still just two TrailingZeros64 scans. Every
+// event cascades down at most once per level over its life, so locating
+// the minimum stays a few bitmap scans however far ahead it was scheduled.
 //
 // # Memory
 //
-// Each bucket stores its first event inline in the bucket header; second
-// and later events chain through one shared node array indexed by the
-// event's idx — the engine's recycled slot-table index, of which each live
-// packet owns exactly one — so scheduling moves no bytes beyond the event
-// itself and allocates nothing: a push writes a header or links a node, a
-// cascade relinks them. The steady-state sparse case (one event per
-// bucket, the common shape under large backoff windows) runs entirely in
-// the header arrays — ~28KB, of which only the touched cache lines are
-// ever resident — and never touches the node array at all. Total footprint is O(peak backlog) nodes plus one drain
-// buffer that grows to the largest number of same-slot accessors,
-// mirroring the engine's own per-slot scratch. Pathological fan-in (a
-// fresh batch of 100k packets all scheduling within a 16-slot window)
-// costs exactly its node count, where per-bucket slices would balloon to
-// the sum of every bucket's high-water mark.
+// Events live in one shared node array indexed by the event's idx — the
+// engine's recycled slot-table index, of which each live packet owns
+// exactly one — so scheduling moves no bytes beyond the event itself and
+// allocates nothing once the array covers the peak backlog. An upper-level
+// bucket is a plain intrusive list: one int32 chain head threading through
+// the node array. A level-0 bucket additionally holds its first event
+// inline in its header, so the steady-state sparse case (one event per
+// exact slot) pushes and pops without touching the node array at all. The
+// whole wheel is ~27KB, of which only the touched cache lines are ever
+// resident. Total footprint is O(peak backlog) nodes plus one drain buffer
+// that grows to the largest number of same-slot accessors, mirroring the
+// engine's own per-slot scratch. Pathological fan-in (a fresh batch of
+// 100k packets all scheduling within a 16-slot window) costs exactly its
+// node count, where per-bucket slices would balloon to the sum of every
+// bucket's high-water mark.
 //
 // # Ordering
 //
-// The engine requires pops in strict (slot, id) order — identical to the
-// heap it replaces — so the goldens stay byte-identical. Level >= 1
-// buckets are unordered (cascading re-distributes them), but a level-0
-// bucket holds events of exactly one slot: popAtMost serves a single-event
-// bucket directly from its header (the steady-state sparse case pays for
-// no buffering at all), and moves a multi-event bucket into the drain
-// buffer, sorts it by id once, and serves pops from the front, folding in
-// any same-slot events pushed mid-drain. The id sort never goes through a
-// comparator closure: small buckets use a direct insertion sort and large
+// The engine requires pops in strict (slot, id) order so the goldens stay
+// byte-identical. Upper-level buckets are unordered (cascading
+// re-distributes them), but a level-0 bucket holds events of exactly one
+// slot: popAtMost serves a one- or two-event bucket directly from its
+// header, and moves a larger bucket into the drain buffer, sorts it by id
+// once, and serves pops from the front, folding in any same-slot events
+// pushed mid-drain. The id sort never goes through a comparator closure:
+// tails of up to insertionMax events take a direct insertion sort, larger
 // ones an LSD radix sort over the id bytes (ids are non-negative by
-// contract — the engine's are arrival indices), which is what keeps deep
-// same-slot fan-in (a batch backlog resolving 64k stations) O(1)-ish per
-// event instead of paying O(log k) indirect comparisons.
+// contract — the engine's are arrival indices), which keeps deep same-slot
+// fan-in (a batch backlog resolving 64k stations) near O(1) per event.
 //
 // # The cursor contract
 //
@@ -92,25 +99,25 @@ import (
 type timingWheel struct {
 	cur   int64 // lower bound on every pending slot; monotone
 	floor int64 // proven lower bound on every pending slot; >= cur
-	n     int   // pending events, including overflow and drain remainder
+	n     int   // pending events, including the drain remainder
 	// Level-0 occupancy: occ0[i] covers buckets [i*64, i*64+64), and
 	// occ0sum bit i is set iff occ0[i] is nonzero — the two-level bitmap
 	// that keeps the 1024-bucket scan at two TrailingZeros64 ops.
 	occ0    [wheelL0Size / 64]uint64
 	occ0sum uint64
 	occUp   [wheelUpper]uint64
-	// head0/headUp hold each bucket's first event inline (valid only where
-	// the occupancy bit is set, which is what lets the zero value work)
-	// plus the chain head of any further events in nodes.
+	// head0 holds each level-0 bucket's first event inline plus the chain
+	// head of any further events in nodes; headUp holds each upper bucket's
+	// chain head. Both are valid only where the occupancy bit is set, which
+	// is what lets the zero value work.
 	head0  [wheelL0Size]bucket
-	headUp [wheelUpper][wheelSize]bucket
+	headUp [wheelUpper][wheelSize]int32
 	nodes  []wheelNode
 	// The drain is the sorted same-slot buffer popAtMost serves from;
 	// positions [drainPos:drainLen] are pending at drainSlot. While every
 	// id fits 31 bits — always, for the engine's arrival-index ids — it
-	// holds packed (id<<32 | idx) keys in drainKeys, which is what lets
-	// the bucket sort run branchless (networks, radix); wider ids fall
-	// back to []event structs in drain.
+	// holds packed (id<<32 | idx) keys in drainKeys, which sort as plain
+	// integers; wider ids fall back to []event structs in drain.
 	drainKeys   []uint64
 	drain       []event
 	drainPos    int
@@ -121,16 +128,11 @@ type timingWheel struct {
 	// run-long.
 	keyBuf  []uint64
 	sortBuf []event
-	// over holds far-future events (slot - cur >= wheelSpan at push time),
-	// ordered by the same (slot, id) key the wheel pops in.
-	over eventQueue
 
-	// Self-metrics (surfaced through EngineStats): lifetime pushes, cursor
-	// cascades (level relocations and overflow pull-ins), and pushes that
-	// overflowed past the wheel horizon into the far-future heap.
-	pushes    int64
-	cascades  int64
-	overflows int64
+	// Self-metrics (surfaced through EngineStats): lifetime pushes and
+	// cursor cascades (upper-level bucket relocations).
+	pushes   int64
+	cascades int64
 }
 
 const (
@@ -140,13 +142,15 @@ const (
 	wheelL0Bits = 10
 	wheelL0Size = 1 << wheelL0Bits // exact-slot buckets at level 0
 	wheelL0Mask = wheelL0Size - 1
-	wheelUpper  = 3 // levels above the exact level
-	// wheelSpan is the top level's horizon: events at slot - cur beyond it
-	// overflow to the heap.
-	wheelSpan = int64(1) << (wheelL0Bits + wheelUpper*wheelBits)
+	// wheelUpper is the number of levels above the exact level: enough
+	// that wheelL0Bits + wheelUpper*wheelBits covers all 64 slot bits.
+	wheelUpper = (64 - wheelL0Bits) / wheelBits
+	// insertionMax is the longest drain tail sorted by insertion; longer
+	// tails take a radix sort.
+	insertionMax = 32
 )
 
-// bucket is one bucket's header: its first event held inline — the
+// bucket is a level-0 bucket's header: its first event held inline — the
 // steady-state sparse case pops straight from here, one cache line, no
 // node access — and the chain head (into nodes) of any further events.
 // next is -1 when the inline event is alone.
@@ -173,64 +177,14 @@ func (w *timingWheel) Len() int { return w.n }
 // guarantees by construction: it only schedules at or after the slot it is
 // working on, and the cursor never advances past that slot. Ids must be
 // non-negative (the engine's are arrival indices), which is what lets the
-// bucket sort run radix passes over the id bytes.
+// bucket sort run radix passes over the id bytes. Push is small enough to
+// inline at its call sites, leaving one call to link.
 //
 //lsbvet:hotpath
 func (w *timingWheel) Push(ev event) {
-	if ev.slot < w.cur {
-		w.pushPanic(ev.slot)
-	}
-	if ev.slot < w.floor {
-		w.floor = ev.slot
-	}
 	w.n++
 	w.pushes++
-	// The body below is link, spelled out: the push→link call sat on the
-	// hottest edge in the engine profile, and the compiler's inlining
-	// budget will not fuse them for us. The level-0 branch comes first and
-	// straight-line — it is where the steady-state schedule lands.
-	slot, id, idx := ev.slot, ev.id, ev.idx
-	d := uint64(slot ^ w.cur)
-	if d < wheelL0Size {
-		bi := uint64(slot) & wheelL0Mask
-		b := &w.head0[bi]
-		wi := bi >> 6
-		bit := uint64(1) << (bi & 63)
-		if w.occ0[wi]&bit == 0 {
-			w.occ0[wi] |= bit
-			w.occ0sum |= 1 << wi
-			b.slot = slot
-			b.id = id
-			b.idx = idx
-			b.next = -1
-			return
-		}
-		w.chain(b, idx, slot, id)
-		return
-	}
-	var l uint
-	switch {
-	case d < 1<<(wheelL0Bits+wheelBits):
-		l = 0
-	case d < 1<<(wheelL0Bits+2*wheelBits):
-		l = 1
-	case d < 1<<(wheelL0Bits+3*wheelBits):
-		l = 2
-	default:
-		w.toOverflow(idx, slot, id)
-		return
-	}
-	bi := uint64(slot>>(wheelL0Bits+wheelBits*l)) & wheelMask
-	b := &w.headUp[l][bi]
-	if w.occUp[l]&(1<<bi) == 0 {
-		w.occUp[l] |= 1 << bi
-		b.slot = slot
-		b.id = id
-		b.idx = idx
-		b.next = -1
-		return
-	}
-	w.chain(b, idx, slot, id)
+	w.link(ev.idx, ev.slot, ev.id)
 }
 
 //go:noinline
@@ -238,15 +192,22 @@ func (w *timingWheel) pushPanic(slot int64) {
 	panic(fmt.Sprintf("sim: timingWheel.Push(slot %d) behind cursor %d", slot, w.cur))
 }
 
-// link routes an event to its level and bucket relative to the current
-// cursor, or to the overflow heap. The level is where slot and cur first
-// differ: all higher digits agree, so the bucket index — the slot's own
-// digit at that level — is unambiguous within the cursor's block. An
-// empty bucket takes the event inline; an occupied one chains it through
-// the node array.
+// link is the wheel's one insertion body, shared by Push and cascade. It
+// checks the cursor contract, loosens the floor for an earlier slot, and
+// routes the event to its level and bucket relative to the cursor. The
+// level is where slot and cur first differ: all higher digits agree, so
+// the bucket index — the slot's own digit at that level — is unambiguous
+// within the cursor's block. The level-0 branch comes first and
+// straight-line: it is where the steady-state schedule lands.
 //
 //lsbvet:hotpath
 func (w *timingWheel) link(idx int32, slot, id int64) {
+	if slot < w.cur {
+		w.pushPanic(slot)
+	}
+	if slot < w.floor {
+		w.floor = slot
+	}
 	d := uint64(slot ^ w.cur)
 	if d < wheelL0Size {
 		bi := uint64(slot) & wheelL0Mask
@@ -256,69 +217,45 @@ func (w *timingWheel) link(idx int32, slot, id int64) {
 		if w.occ0[wi]&bit == 0 {
 			w.occ0[wi] |= bit
 			w.occ0sum |= 1 << wi
-			b.slot = slot
-			b.id = id
-			b.idx = idx
-			b.next = -1
+			*b = bucket{slot: slot, id: id, idx: idx, next: -1}
 			return
 		}
-		w.chain(b, idx, slot, id)
+		nd := w.node(idx)
+		*nd = wheelNode{slot: slot, id: id, next: b.next}
+		b.next = idx
 		return
 	}
-	var l uint
-	switch {
-	case d < 1<<(wheelL0Bits+wheelBits):
-		l = 0
-	case d < 1<<(wheelL0Bits+2*wheelBits):
-		l = 1
-	case d < 1<<(wheelL0Bits+3*wheelBits):
-		l = 2
-	default:
-		w.toOverflow(idx, slot, id)
-		return
-	}
+	l := uint(bits.Len64(d)-(wheelL0Bits+1)) / wheelBits
 	bi := uint64(slot>>(wheelL0Bits+wheelBits*l)) & wheelMask
-	b := &w.headUp[l][bi]
-	if w.occUp[l]&(1<<bi) == 0 {
-		w.occUp[l] |= 1 << bi
-		b.slot = slot
-		b.id = id
-		b.idx = idx
-		b.next = -1
-		return
+	nd := w.node(idx)
+	*nd = wheelNode{slot: slot, id: id, next: -1}
+	if w.occUp[l]&(1<<bi) != 0 {
+		nd.next = w.headUp[l][bi]
 	}
-	w.chain(b, idx, slot, id)
+	w.occUp[l] |= 1 << bi
+	w.headUp[l][bi] = idx
 }
 
-//go:noinline
-func (w *timingWheel) toOverflow(idx int32, slot, id int64) {
-	w.overflows++
-	w.over.Push(event{slot: slot, id: id, idx: idx})
-}
-
-// chain threads an event behind a bucket's inline head through the shared
-// node array (growing it to cover idx — the only place the array grows).
+// node returns idx's residence in the node array, growing the array to
+// cover idx — the only place it grows.
 //
 //lsbvet:hotpath
-func (w *timingWheel) chain(b *bucket, idx int32, slot, id int64) {
+func (w *timingWheel) node(idx int32) *wheelNode {
 	for int(idx) >= len(w.nodes) {
 		w.nodes = append(w.nodes, wheelNode{})
 	}
-	nd := &w.nodes[idx]
-	nd.slot = slot
-	nd.id = id
-	nd.next = b.next
-	b.next = idx
+	return &w.nodes[idx]
 }
 
-// locate finds the earliest pending slot if it is <= limit, advancing the
-// cursor to it (cascading higher-level buckets and due overflow events
-// down as it goes). When the earliest slot exceeds limit — or no events
-// are pending — it reports false and leaves the cursor at most at limit,
-// so the caller remains free to push anything >= its own time floor.
+// nextAtMost returns the earliest pending slot if it is <= limit,
+// advancing the cursor to it (cascading upper-level buckets down as it
+// goes), so after a hit the caller may push at that slot or later. When
+// the earliest slot exceeds limit — or no events are pending — it reports
+// false and leaves the cursor at most at limit, so the caller remains free
+// to push anything >= limit.
 //
 //lsbvet:hotpath
-func (w *timingWheel) locate(limit int64) (int64, bool) {
+func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
 	// The floor is a proven lower bound on every pending slot, so a limit
 	// below it is a miss before any scanning — this is the engine's common
 	// "anything else at this slot?" probe after the slot's bucket emptied.
@@ -336,9 +273,9 @@ func (w *timingWheel) locate(limit int64) (int64, bool) {
 	}
 	for {
 		// Level 0 holds exact slots within the cursor's 1024-slot block,
-		// and every upper level (and the overflow heap) holds strictly
-		// later slots, so its first occupied bucket is the global minimum:
-		// summary word → first nonempty occupancy word → first set bit.
+		// and every upper level holds strictly later slots, so its first
+		// occupied bucket is the global minimum: summary word → first
+		// nonempty occupancy word → first set bit.
 		if sum := w.occ0sum; sum != 0 {
 			wi := uint(bits.TrailingZeros64(sum))
 			o := int64(wi)<<6 | int64(bits.TrailingZeros64(w.occ0[wi]))
@@ -350,18 +287,17 @@ func (w *timingWheel) locate(limit int64) (int64, bool) {
 			w.cur = s
 			return s, true
 		}
-		if w.cascade(limit) {
-			continue
+		if !w.cascade(limit) {
+			return 0, false
 		}
-		return 0, false
 	}
 }
 
-// cascade advances the cursor to the next occupied region at or before
-// limit — the first occupied bucket of the lowest nonempty level, or the
-// overflow heap's due region — and re-places its events relative to the
-// new cursor (each lands at a strictly lower level). It reports whether
-// it moved anything; false means every pending event is beyond limit.
+// cascade advances the cursor to the first occupied bucket of the lowest
+// nonempty upper level, if that bucket starts at or before limit, and
+// re-links its events relative to the new cursor (each lands at a strictly
+// lower level). It reports whether it moved anything; false means every
+// pending event is beyond limit.
 //
 //lsbvet:hotpath
 func (w *timingWheel) cascade(limit int64) bool {
@@ -371,47 +307,18 @@ func (w *timingWheel) cascade(limit int64) bool {
 			continue
 		}
 		shift := wheelL0Bits + wheelBits*l
-		bi := int64(bits.TrailingZeros64(occ))
-		base := w.cur>>(shift+wheelBits)<<(shift+wheelBits) | bi<<shift
+		bi := uint(bits.TrailingZeros64(occ))
+		// The cursor's digits above this level are kept; at the top level
+		// the shift is 64 and clears them all.
+		base := w.cur>>(shift+wheelBits)<<(shift+wheelBits) | int64(bi)<<shift
 		if base > limit {
 			w.floor = base
 			return false
 		}
 		w.cascades++
 		w.cur = base
-		b := w.headUp[l][bi]
-		w.occUp[l] &^= 1 << uint64(bi)
-		if l == 0 {
-			// The hot cascade: a level-1 bucket spans exactly the cursor's
-			// new 1024-slot block, so every event lands at level 0 — relink
-			// inline, skipping link's level routing per event.
-			idx, slot, id := b.idx, b.slot, b.id
-			next := b.next
-			for {
-				b0 := uint64(slot) & wheelL0Mask
-				t := &w.head0[b0]
-				wi := b0 >> 6
-				bit := uint64(1) << (b0 & 63)
-				if w.occ0[wi]&bit == 0 {
-					w.occ0[wi] |= bit
-					w.occ0sum |= 1 << wi
-					t.slot = slot
-					t.id = id
-					t.idx = idx
-					t.next = -1
-				} else {
-					w.chain(t, idx, slot, id)
-				}
-				if next < 0 {
-					return true
-				}
-				idx = next
-				nd := &w.nodes[idx]
-				slot, id, next = nd.slot, nd.id, nd.next
-			}
-		}
-		w.link(b.idx, b.slot, b.id)
-		for idx := b.next; idx >= 0; {
+		w.occUp[l] &^= 1 << bi
+		for idx := w.headUp[l][bi]; idx >= 0; {
 			nd := &w.nodes[idx]
 			next := nd.next
 			w.link(idx, nd.slot, nd.id)
@@ -419,38 +326,14 @@ func (w *timingWheel) cascade(limit int64) bool {
 		}
 		return true
 	}
-	// All levels empty: the minimum lives in the overflow heap. Jump the
-	// cursor to it and pull in every overflow event of its 2^28-slot
-	// region (re-placement order does not matter above level 0).
-	m := w.over.Min().slot
-	if m > limit {
-		w.floor = m
-		return false
-	}
-	w.cascades++
-	w.cur = m
-	for w.over.Len() > 0 && w.over.Min().slot^w.cur < wheelSpan {
-		ev := w.over.Pop()
-		w.link(ev.idx, ev.slot, ev.id)
-	}
-	return true
-}
-
-// nextAtMost returns the earliest pending slot if it is <= limit. The
-// cursor advances to the returned slot (and never beyond limit), so after
-// a hit the caller may push at that slot or later; after a miss, at limit
-// or later.
-//
-//lsbvet:hotpath
-func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
-	return w.locate(limit)
+	return false
 }
 
 // popAtMost removes and returns the earliest pending event if its slot is
 // <= limit. Successive pops yield strict (slot, id) order. The body fuses
-// locate's scan with the extraction so the hot singleton case — one event
-// at the minimum slot, nothing buffered — runs straight-line: floor check,
-// bitmap scan, one bucket-header read, done.
+// nextAtMost's scan with the extraction so the hot singleton case — one
+// event at the minimum slot, nothing buffered — runs straight-line: floor
+// check, bitmap scan, one bucket-header read, done.
 //
 //lsbvet:hotpath
 func (w *timingWheel) popAtMost(limit int64) (event, bool) {
@@ -609,21 +492,22 @@ func (w *timingWheel) depackDrain() {
 }
 
 // sortKeyTail sorts the drain's pending packed keys ascending — by id,
-// with the idx low bits breaking (never-occurring) ties — entirely without
-// data-dependent branches: one compare-exchange for a pair, a Batcher
-// network for small tails, LSD radix over the id bytes for large ones.
+// with the idx low bits breaking (never-occurring) ties: insertion sort
+// for short tails, LSD radix over the id bytes for long ones.
 func (w *timingWheel) sortKeyTail() {
 	a := w.drainKeys[w.drainPos:]
-	switch {
-	case len(a) <= 1:
-	case len(a) == 2:
-		a[0], a[1] = min(a[0], a[1]), max(a[0], a[1])
-	case len(a) <= 8:
-		sortNet8(a)
-	case len(a) <= 16:
-		sortNet16(a)
-	default:
+	if len(a) > insertionMax {
 		w.radixKeys(a)
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		k := a[i]
+		j := i - 1
+		for j >= 0 && a[j] > k {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = k
 	}
 }
 
@@ -666,28 +550,25 @@ func (w *timingWheel) radixKeys(a []uint64) {
 	}
 }
 
-// sortDrainTail id-sorts the unconsumed drain tail without going through a
-// comparator closure: small tails use a direct insertion sort, large ones
-// an LSD radix sort over the id bytes (ids are non-negative by the Push
-// contract, so unsigned byte order is value order). This is what keeps
-// deep same-slot fan-in — a batch backlog resolving tens of thousands of
-// stations at one slot — near O(1) per event instead of O(log k) indirect
-// comparisons each.
+// sortDrainTail id-sorts the unconsumed struct drain tail the same way
+// sortKeyTail sorts packed keys (ids are non-negative by the Push
+// contract, so unsigned byte order is value order). This is the only path
+// for ids past 31 bits.
 func (w *timingWheel) sortDrainTail() {
 	a := w.drain[w.drainPos:]
-	if len(a) <= 32 {
-		for i := 1; i < len(a); i++ {
-			ev := a[i]
-			j := i - 1
-			for j >= 0 && a[j].id > ev.id {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = ev
-		}
+	if len(a) > insertionMax {
+		w.radixSortByID(a)
 		return
 	}
-	w.radixSortByID(a)
+	for i := 1; i < len(a); i++ {
+		ev := a[i]
+		j := i - 1
+		for j >= 0 && a[j].id > ev.id {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = ev
+	}
 }
 
 // radixSortByID sorts a by id ascending: one counting pass per significant

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
@@ -32,6 +33,18 @@ func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 	if got := cap(e.events.drain); got > n {
 		t.Fatalf("drain buffer capacity %d exceeds peak backlog %d", got, n)
 	}
-	t.Logf("nodes %d, drain cap %d, overflow cap %d",
-		len(e.events.nodes), cap(e.events.drain), cap(e.events.over.ev))
+	t.Logf("nodes %d, drain cap %d", len(e.events.nodes), cap(e.events.drain))
+}
+
+// TestWheelSizeIsBounded pins the wheel's fixed footprint, which every
+// engine embeds (a cluster sweep builds one engine per channel per job):
+// spanning all of int64 with list-headed upper levels must stay within
+// the 29,568 B that three inline-header levels plus a far-future heap
+// used to take.
+func TestWheelSizeIsBounded(t *testing.T) {
+	got := unsafe.Sizeof(timingWheel{})
+	if got > 29568 {
+		t.Fatalf("timingWheel is %d B, want <= 29568", got)
+	}
+	t.Logf("timingWheel is %d B", got)
 }

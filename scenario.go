@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+
+	"lowsensing/internal/dist"
 )
 
 // Scenario is a declarative, serializable description of one simulation
@@ -114,11 +116,11 @@ func (sc Scenario) Validate() error {
 	return sc.validateRobustness()
 }
 
-// validateMaxSlots rejects a negative slot cap, which the engine would
-// refuse only once the run starts.
+// validateMaxSlots rejects a slot cap outside [0, 2^60], which the engine
+// would refuse only once the run starts.
 func validateMaxSlots(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("lowsensing: max_slots must be >= 0 (0 means the engine default), got %d", n)
+	if n < 0 || n > dist.MaxSlotSpan {
+		return fmt.Errorf("lowsensing: max_slots must be in [0, 2^60] (0 means the engine default), got %d", n)
 	}
 	return nil
 }

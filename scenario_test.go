@@ -208,6 +208,13 @@ func TestParseScenarioStrict(t *testing.T) {
 		// would hit as a geometric sampler panic.
 		"lsb access prob underflows": `{"arrivals":{"kind":"batch","n":4},"protocol":{"kind":"lsb","config":{"C":0.5,"WMin":2.5,"LnPower":10000}}}`,
 		"lsb denormal C":             `{"arrivals":{"kind":"batch","n":4},"protocol":{"kind":"lsb","config":{"C":5e-324,"WMin":3,"LnPower":0}}}`,
+		// Slot spans past 2^60 could push slot arithmetic past MaxInt64:
+		// a crash restart slot wrapped negative, and the wheel panicked.
+		"crash down past 2^60":           `{"arrivals":{"kind":"batch","n":4},"faults":{"kind":"crash","rate":1,"down":9223372036854775807}}`,
+		"flaky down past 2^60":           `{"arrivals":{"kind":"batch","n":4},"faults":{"kind":"flaky","rate":1,"down":1152921504606846977}}`,
+		"max_slots past 2^60":            `{"arrivals":{"kind":"batch","n":1},"protocol":{"kind":"beb"},"jammer":{"kind":"burst","from":0,"to":9000000000000000000},"max_slots":9000000000000000000}`,
+		"flash-crowd lifetime past 2^60": `{"arrivals":{"kind":"batch","n":4},"churn":{"kind":"flash-crowd","slot":1,"n":2,"lifetime":1152921504606846977}}`,
+		"epochs period past 2^60":        `{"arrivals":{"kind":"batch","n":4},"churn":{"kind":"epochs","period":1152921504606846977}}`,
 	}
 	for name, spec := range rejected {
 		if _, err := lowsensing.ParseScenario([]byte(spec)); err == nil {
@@ -229,6 +236,36 @@ func TestParseScenarioStrict(t *testing.T) {
 	}
 	if r.Completed != 32 || r.JammedSlots == 0 {
 		t.Fatalf("parsed scenario result: %+v", r)
+	}
+}
+
+// TestWindowsSaturate runs the window-based baselines into windows past
+// 2^62 within the accepted slot bounds. An uncapped BEB window used to
+// double past MaxInt64 (a sampler panic: n = 256, seed 4 is a batch where
+// one jammed packet reaches that many collisions before slot 2^60), and
+// poly's float window of 2^63 used to convert to MinInt64 and clamp to 1,
+// so every packet sent in every slot. Both windows now saturate at 2^62.
+func TestWindowsSaturate(t *testing.T) {
+	run := func(spec string) lowsensing.Result {
+		t.Helper()
+		sc, err := lowsensing.ParseScenario([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	beb := run(`{"seed":4,"arrivals":{"kind":"batch","n":256},"protocol":{"kind":"beb"},
+		"jammer":{"kind":"burst","from":0,"to":1152921504606846976},"max_slots":1152921504606846976}`)
+	if beb.Completed != 0 || !beb.Truncated {
+		t.Fatalf("fully jammed BEB run: completed %d, truncated %v", beb.Completed, beb.Truncated)
+	}
+	poly := run(`{"arrivals":{"kind":"batch","n":64},"protocol":{"kind":"poly","w0":2,"alpha":62},"max_slots":20000}`)
+	if sends := poly.Energy.Sends.Sum; sends > 1000 {
+		t.Fatalf("poly alpha=62 sent %d times in 20000 slots; its window must back off, not collapse to 1", sends)
 	}
 }
 
