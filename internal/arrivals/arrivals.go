@@ -89,7 +89,7 @@ var _ channel.ArrivalSource = (*Trace)(nil)
 // with sim.Params.MaxSlots). Gaps between arrivals are sampled
 // geometrically so idle stretches cost O(1).
 type Bernoulli struct {
-	rate    float64
+	gap     dist.Geometric // of the rate
 	total   int64
 	emitted int64
 	slot    int64
@@ -102,7 +102,7 @@ func NewBernoulli(rate float64, total int64, seed uint64) (*Bernoulli, error) {
 	if !(rate > 0 && rate <= 1) {
 		return nil, fmt.Errorf("arrivals: Bernoulli rate must be in (0,1], got %v", rate)
 	}
-	return &Bernoulli{rate: rate, total: total, slot: -1, rng: prng.NewStream(seed, 0x6265726e)}, nil
+	return &Bernoulli{gap: dist.NewGeometric(rate), total: total, slot: -1, rng: prng.NewStream(seed, 0x6265726e)}, nil
 }
 
 // Next implements channel.ArrivalSource.
@@ -110,7 +110,7 @@ func (b *Bernoulli) Next() (int64, int64, bool) {
 	if b.total > 0 && b.emitted >= b.total {
 		return 0, 0, false
 	}
-	b.slot += dist.Geometric(b.rng, b.rate)
+	b.slot += b.gap.Draw(b.rng)
 	b.emitted++
 	return b.slot, 1, true
 }
@@ -123,8 +123,8 @@ var _ channel.ArrivalSource = (*Bernoulli)(nil)
 // the exact probability 1 - e^-λ and then drawing the batch size from the
 // zero-truncated Poisson distribution.
 type Poisson struct {
-	lambda  float64
-	pBusy   float64 // P[at least one arrival in a slot]
+	gap     dist.Geometric // of P[at least one arrival in a slot]
+	count   dist.Poisson
 	total   int64
 	emitted int64
 	slot    int64
@@ -138,11 +138,11 @@ func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
 		return nil, fmt.Errorf("arrivals: Poisson lambda must be in (0, %v), got %v", float64(dist.MaxPoissonLambda), lambda)
 	}
 	return &Poisson{
-		lambda: lambda,
-		pBusy:  -math.Expm1(-lambda), // 1 - e^-λ, computed stably
-		total:  total,
-		slot:   -1,
-		rng:    prng.NewStream(seed, 0x706f6973),
+		gap:   dist.NewGeometric(-math.Expm1(-lambda)), // 1 - e^-λ, computed stably
+		count: dist.NewPoisson(lambda),
+		total: total,
+		slot:  -1,
+		rng:   prng.NewStream(seed, 0x706f6973),
 	}, nil
 }
 
@@ -151,13 +151,8 @@ func (p *Poisson) Next() (int64, int64, bool) {
 	if p.total > 0 && p.emitted >= p.total {
 		return 0, 0, false
 	}
-	p.slot += dist.Geometric(p.rng, p.pBusy)
-	// Zero-truncated Poisson via rejection: cheap because λ is typically
-	// well below the regime where zero is rare.
-	var k int64
-	for k == 0 {
-		k = dist.Poisson(p.rng, p.lambda)
-	}
+	p.slot += p.gap.Draw(p.rng)
+	k := p.count.DrawPositive(p.rng)
 	if p.total > 0 && p.emitted+k > p.total {
 		k = p.total - p.emitted
 	}

@@ -87,14 +87,14 @@ func checkCache(t *testing.T, cfg Config, p *Packet, step int) {
 	t.Helper()
 	w := p.Window()
 	access, send := cfg.AccessProb(w), cfg.SendProbGivenAccess(w)
-	if !same(p.access, access) || !same(p.access, refAccess(cfg, w)) {
-		t.Fatalf("%+v step %d w=%v: cached access %v, helper %v, reference %v", cfg, step, w, p.access, access, refAccess(cfg, w))
+	if !same(p.gap.P(), access) || !same(p.gap.P(), refAccess(cfg, w)) {
+		t.Fatalf("%+v step %d w=%v: cached access %v, helper %v, reference %v", cfg, step, w, p.gap.P(), access, refAccess(cfg, w))
 	}
 	if !same(p.send, send) || !same(p.send, refSend(cfg, w)) {
 		t.Fatalf("%+v step %d w=%v: cached send %v, helper %v, reference %v", cfg, step, w, p.send, send, refSend(cfg, w))
 	}
-	if !same(p.lnw, math.Log(w)) || !same(p.lnq, math.Log1p(-access)) {
-		t.Fatalf("%+v step %d w=%v: cached ln w %v, ln(1-access) %v", cfg, step, w, p.lnw, p.lnq)
+	if !same(p.lnw, math.Log(w)) || p.gap != dist.NewGeometric(access) {
+		t.Fatalf("%+v step %d w=%v: cached ln w %v, gap sampler %+v", cfg, step, w, p.lnw, p.gap)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestPacketCacheBitIdentical(t *testing.T) {
 			noisy := rng.Float64()
 			for step := 0; step < 500; step++ {
 				checkCache(t, cfg, p, step)
-				clamped = clamped || p.access == 1
+				clamped = clamped || p.gap.P() == 1
 				var o channel.Observation
 				switch u := rng.Float64(); {
 				case u < noisy:
@@ -153,7 +153,7 @@ func TestPacketCacheBitIdentical(t *testing.T) {
 
 // TestScheduleNextMatchesPerAccessFormula pins that ScheduleNext returns
 // the same (slot, send) as computing the probabilities per access and
-// calling dist.Geometric, and leaves the source in the same state.
+// drawing a fresh dist.Geometric, and leaves the source in the same state.
 func TestScheduleNextMatchesPerAccessFormula(t *testing.T) {
 	walk := prng.New(3)
 	for _, cfg := range cacheConfigs() {
@@ -166,7 +166,8 @@ func TestScheduleNextMatchesPerAccessFormula(t *testing.T) {
 			from := int64(step) * 3
 			ref := *rng
 			w := p.Window()
-			wantSlot := from + dist.Geometric(&ref, refAccess(cfg, w)) - 1
+			gap := dist.NewGeometric(refAccess(cfg, w))
+			wantSlot := from + gap.Draw(&ref) - 1
 			wantSend := ref.Bernoulli(refSend(cfg, w))
 			slot, send := p.ScheduleNext(from, rng)
 			if slot != wantSlot || send != wantSend {
@@ -231,5 +232,30 @@ func TestFactorySharesState(t *testing.T) {
 	b := MustFactory(Config{C: 0.5, WMin: 16, LnPower: 3})(0, nil).(*Packet)
 	if a.sh == b.sh || a.Config() != cfg || b.Window() != 16 {
 		t.Fatalf("factories of different configs share state: %+v vs %+v", a.Config(), b.Config())
+	}
+}
+
+// TestScaleMatchesPow pins that scale's multiplication for integral
+// k <= 16 gives math.Pow's bits for every ln w a window can have, in
+// [ln 2, 709], and that other exponents still go through math.Pow. The
+// products must come in math.Pow's order: x·x·x·x for k = 4, say, rounds
+// differently from (x·x)·(x·x).
+func TestScaleMatchesPow(t *testing.T) {
+	rng := prng.New(16)
+	xs := []float64{math.Ln2, math.Log(3), math.Log(8), 1, math.E, 709}
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, math.Ln2+(709-math.Ln2)*rng.Float64(), math.Exp(rng.Float64()*math.Log(709/math.Ln2))*math.Ln2)
+	}
+	ks := []float64{2.5, 3.0000001, 16.5, 17, 0.5}
+	for k := 0; k <= maxIntPower; k++ {
+		ks = append(ks, float64(k))
+	}
+	for _, k := range ks {
+		c := Config{C: 0.75, LnPower: k}
+		for _, x := range xs {
+			if got, want := c.scale(x), c.C*math.Pow(x, k); !same(got, want) {
+				t.Fatalf("k=%v ln w=%v: scale = %v, C·Pow = %v", k, x, got, want)
+			}
+		}
 	}
 }

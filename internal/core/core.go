@@ -12,8 +12,8 @@
 // is unchanged. The paper fixes k = 3; the exponent is configurable here so
 // ablation experiments can probe the design space.
 //
-// Every per-access quantity — ln w, the two probabilities and ln(1 - access
-// probability) for the geometric gap — is a pure function of w, and w
+// Every per-access quantity — ln w, the send probability and the geometric
+// gap sampler of the access probability — is a pure function of w, and w
 // changes only when an access hears silence or noise: the paper's slow
 // feedback loop. A Packet therefore caches them and refreshes the cache
 // exactly when w changes, so an access whose window is unchanged does no
@@ -101,7 +101,30 @@ func (c Config) Validate() error {
 // scale returns c·ln^k(w) given ln w. The access probability is scale/w
 // and the send probability given access 1/scale, each clamped to 1.
 func (c Config) scale(lnw float64) float64 {
+	if k := c.LnPower; k >= 0 && k <= maxIntPower && k == float64(int(k)) {
+		return c.C * powInt(lnw, int(k))
+	}
 	return c.C * math.Pow(lnw, c.LnPower)
+}
+
+// maxIntPower is the largest integral LnPower scale computes by powInt.
+const maxIntPower = 16
+
+// powInt returns x^k for 0 <= k <= maxIntPower by math.Pow's own
+// square-and-multiply order: multiply the result by x^(2^i) for every set
+// bit i of k, lowest first. math.Pow runs that loop on x's mantissa and
+// tracks the exponent apart, which scales every product by a power of two,
+// so for normal x and results — ln w lies in [ln 2, 710) — the two give
+// the same bits, without math.Pow's special-case tests, Modf and Frexp.
+func powInt(x float64, k int) float64 {
+	p := 1.0
+	for ; k != 0; k >>= 1 {
+		if k&1 == 1 {
+			p *= x
+		}
+		x *= x
+	}
+	return p
 }
 
 // step returns the multiplicative update 1 + 1/(c·ln w) given ln w.
@@ -112,11 +135,10 @@ func (c Config) step(lnw float64) float64 {
 // window is the per-window state of Figure 1: a window w and every quantity
 // an access needs that depends only on w.
 type window struct {
-	w      float64
-	lnw    float64 // ln w
-	access float64 // min(1, c·ln^k(w)/w)
-	lnq    float64 // ln(1 - access), the geometric gap's log
-	send   float64 // min(1, 1/(c·ln^k(w)))
+	w    float64
+	lnw  float64        // ln w
+	gap  dist.Geometric // gaps between accesses, of probability min(1, c·ln^k(w)/w)
+	send float64        // min(1, 1/(c·ln^k(w)))
 }
 
 // window computes the per-window state for w. It is the one place the
@@ -134,7 +156,7 @@ func (c Config) window(w float64) window {
 	if send > 1 {
 		send = 1
 	}
-	return window{w: w, lnw: lnw, access: access, lnq: math.Log1p(-access), send: send}
+	return window{w: w, lnw: lnw, gap: dist.NewGeometric(access), send: send}
 }
 
 // grow returns the window after hearing a noisy slot, given w and ln w.
@@ -166,7 +188,7 @@ func (c Config) shrink(w, lnw float64) float64 {
 
 // AccessProb returns the probability that a packet with window w accesses
 // (listens to) the channel in a slot: min(1, c·ln^k(w)/w).
-func (c Config) AccessProb(w float64) float64 { return c.window(w).access }
+func (c Config) AccessProb(w float64) float64 { return c.window(w).gap.P() }
 
 // SendProbGivenAccess returns the probability that an accessing packet also
 // sends: min(1, 1/(c·ln^k(w))). The unconditional send probability is the
@@ -276,7 +298,7 @@ func (p *Packet) Config() Config { return p.sh.cfg }
 //
 //lsbvet:hotpath
 func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	gap := dist.GeometricLog1p(rng, p.access, p.lnq)
+	gap := p.gap.Draw(rng)
 	send := rng.Bernoulli(p.send)
 	return from + gap - 1, send
 }
@@ -288,7 +310,7 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 //
 //lsbvet:hotpath
 func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
-	if !rng.Bernoulli(p.access) {
+	if !rng.Bernoulli(p.gap.P()) {
 		return false, false
 	}
 	return true, rng.Bernoulli(p.send)

@@ -29,7 +29,8 @@ type Random struct {
 	budget int64
 	spent  int64
 	seed   uint64
-	rng    *prng.Source // used only for CountRange sampling
+	count  dist.Binomial // CountRange's sampler of the rate
+	rng    *prng.Source  // used only for CountRange sampling
 }
 
 // NewRandom returns a random jammer. It returns an error unless rate is in
@@ -38,7 +39,7 @@ func NewRandom(rate float64, budget int64, seed uint64) (*Random, error) {
 	if !(rate > 0 && rate <= 1) {
 		return nil, fmt.Errorf("jamming: Random rate must be in (0,1], got %v", rate)
 	}
-	return &Random{rate: rate, budget: budget, seed: prng.Mix64(seed ^ 0x6a616d72), rng: prng.NewStream(seed, 0x6a616d72)}, nil
+	return &Random{rate: rate, budget: budget, seed: prng.Mix64(seed ^ 0x6a616d72), count: dist.NewBinomial(rate), rng: prng.NewStream(seed, 0x6a616d72)}, nil
 }
 
 // Jammed implements channel.Jammer.
@@ -61,7 +62,7 @@ func (r *Random) CountRange(from, to int64) int64 {
 	if to <= from {
 		return 0
 	}
-	n := dist.Binomial(r.rng, to-from, r.rate)
+	n := r.count.Draw(r.rng, to-from)
 	if r.budget > 0 {
 		remain := r.budget - r.spent
 		if remain <= 0 {

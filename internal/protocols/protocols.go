@@ -144,8 +144,7 @@ var (
 // Aloha is slotted ALOHA with a fixed transmission probability: each slot,
 // send with probability p. Send-only, no adaptation.
 type Aloha struct {
-	p   float64
-	lnq float64 // ln(1-p), for the geometric gap
+	gap dist.Geometric
 }
 
 // NewAlohaFactory returns fixed-rate slotted ALOHA stations. p must be in
@@ -154,9 +153,9 @@ func NewAlohaFactory(p float64) (channel.StationFactory, error) {
 	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("protocols: Aloha p must be in (0,1], got %v", p)
 	}
-	lnq := math.Log1p(-p)
+	gap := dist.NewGeometric(p)
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Aloha{p: p, lnq: lnq}
+		return &Aloha{gap: gap}
 	}, nil
 }
 
@@ -167,7 +166,7 @@ func (a *Aloha) Reset(int64, *prng.Source) {}
 //
 //lsbvet:hotpath
 func (a *Aloha) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	return from + dist.GeometricLog1p(rng, a.p, a.lnq) - 1, true
+	return from + a.gap.Draw(rng) - 1, true
 }
 
 // Observe implements channel.Station (fixed-rate ALOHA never adapts).
@@ -330,8 +329,7 @@ var (
 // control: identical energy profile shape to ALOHA but with configurable
 // listening.
 type Fixed struct {
-	pAccess          float64 // pSend + pListen - pSend·pListen
-	lnq              float64 // ln(1-pAccess), for the geometric gap
+	gap              dist.Geometric // of pAccess = pSend + pListen - pSend·pListen
 	pSendGivenAccess float64
 }
 
@@ -348,7 +346,7 @@ func NewFixedFactory(pSend, pListen float64) (channel.StationFactory, error) {
 	// Send and listen decisions are independent; conditioned on accessing,
 	// the send flag is set with the conditional probability of a send.
 	pAccess := pSend + pListen - pSend*pListen
-	f := Fixed{pAccess: pAccess, lnq: math.Log1p(-pAccess), pSendGivenAccess: pSend / pAccess}
+	f := Fixed{gap: dist.NewGeometric(pAccess), pSendGivenAccess: pSend / pAccess}
 	return func(_ int64, _ *prng.Source) channel.Station {
 		st := f
 		return &st
@@ -363,7 +361,7 @@ func (f *Fixed) Reset(int64, *prng.Source) {}
 //
 //lsbvet:hotpath
 func (f *Fixed) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	gap := dist.GeometricLog1p(rng, f.pAccess, f.lnq)
+	gap := f.gap.Draw(rng)
 	send := rng.Bernoulli(f.pSendGivenAccess)
 	return from + gap - 1, send
 }

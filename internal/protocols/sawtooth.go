@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"math"
-
 	"lowsensing/channel"
 	"lowsensing/internal/dist"
 	"lowsensing/prng"
@@ -46,12 +44,12 @@ func (s *Sawtooth) Reset(_ int64, _ *prng.Source) { s.startEpoch(1) }
 // tests that force endless rescheduling.
 const maxEpoch = 40
 
-// sawtoothLnq[k] is ln(1 - 2^-k), the log the geometric draw of a window-2^k
-// sub-phase needs, for every window the sweep can reach. Entry 0 (p = 1)
-// is never read: a window-1 sub-phase sends in its first slot, draw-free.
-var sawtoothLnq = func() (t [maxEpoch + 1]float64) {
+// sawtoothGap[k] samples the geometric gap of a window-2^k sub-phase,
+// probability 2^-k, for every window the sweep can reach. Entry 0 has
+// p = 1: a window-1 sub-phase sends in its first slot, draw-free.
+var sawtoothGap = func() (t [maxEpoch + 1]dist.Geometric) {
 	for k := range t {
-		t[k] = math.Log1p(-1 / float64(int64(1)<<k))
+		t[k] = dist.NewGeometric(1 / float64(int64(1)<<k))
 	}
 	return t
 }()
@@ -90,8 +88,7 @@ func (s *Sawtooth) advance() {
 func (s *Sawtooth) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	offset := int64(0)
 	for {
-		k := s.epoch - s.sub // the sub-phase's window is 2^k
-		g := dist.GeometricLog1p(rng, 1/float64(s.window()), sawtoothLnq[k])
+		g := sawtoothGap[s.epoch-s.sub].Draw(rng) // the sub-phase's window is 2^(epoch-sub)
 		if g <= s.remaining {
 			s.remaining -= g
 			if s.remaining == 0 {

@@ -127,9 +127,9 @@ func TestSawtoothPhaseStructure(t *testing.T) {
 }
 
 // TestHoistedSamplersMatchPerDraw pins that Sawtooth, Aloha and Fixed, which
-// precompute their geometric samplers' logs, return the same slots and send
-// flags as computing every probability per draw and calling dist.Geometric,
-// and consume the same draws.
+// build their geometric samplers once, return the same slots and send flags
+// as computing every probability per draw and drawing from a fresh
+// dist.Geometric, and consume the same draws.
 func TestHoistedSamplersMatchPerDraw(t *testing.T) {
 	// Sawtooth: the per-draw walk, run on a twin state. 2000 sends pass the
 	// epoch cap, so every table entry (including the draw-free window 1) is
@@ -159,7 +159,8 @@ func TestHoistedSamplersMatchPerDraw(t *testing.T) {
 		rng := prng.New(22)
 		for i := int64(0); i < 1000; i++ {
 			refRng := *rng
-			want := i + dist.Geometric(&refRng, p) - 1
+			g := dist.NewGeometric(p)
+			want := i + g.Draw(&refRng) - 1
 			if got, _ := a.ScheduleNext(i, rng); got != want || *rng != refRng {
 				t.Fatalf("aloha p=%v call %d: slot %d, reference %d", p, i, got, want)
 			}
@@ -177,7 +178,8 @@ func TestHoistedSamplersMatchPerDraw(t *testing.T) {
 		for i := int64(0); i < 1000; i++ {
 			refRng := *rng
 			pAccess := pSend + pListen - pSend*pListen
-			want := i + dist.Geometric(&refRng, pAccess) - 1
+			g := dist.NewGeometric(pAccess)
+			want := i + g.Draw(&refRng) - 1
 			wantSend := refRng.Bernoulli(pSend / pAccess)
 			if got, send := st.ScheduleNext(i, rng); got != want || send != wantSend || *rng != refRng {
 				t.Fatalf("fixed %v call %d: (%d, %v), reference (%d, %v)", c, i, got, send, want, wantSend)
@@ -191,7 +193,8 @@ func TestHoistedSamplersMatchPerDraw(t *testing.T) {
 func refSawtoothNext(s *Sawtooth, from int64, rng *prng.Source) int64 {
 	offset := int64(0)
 	for {
-		g := dist.Geometric(rng, 1/float64(s.window()))
+		gap := dist.NewGeometric(1 / float64(s.window()))
+		g := gap.Draw(rng)
 		if g <= s.remaining {
 			s.remaining -= g
 			if s.remaining == 0 {

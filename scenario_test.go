@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"lowsensing"
 )
@@ -266,6 +267,39 @@ func TestWindowsSaturate(t *testing.T) {
 	poly := run(`{"arrivals":{"kind":"batch","n":64},"protocol":{"kind":"poly","w0":2,"alpha":62},"max_slots":20000}`)
 	if sends := poly.Energy.Sends.Sum; sends > 1000 {
 		t.Fatalf("poly alpha=62 sent %d times in 20000 slots; its window must back off, not collapse to 1", sends)
+	}
+}
+
+// TestTinyPoissonRatesRun runs Poisson arrivals and Poisson join churn at
+// rate 1e-12. Rejecting zero batch sizes takes about 1/rate draws per
+// batch, so rate 1e-8 used to take 19 s and rate 1e-12 hours; tiny rates
+// now invert the zero-truncated distribution with one uniform per batch.
+func TestTinyPoissonRatesRun(t *testing.T) {
+	for spec, want := range map[string]int64{
+		`{"seed":3,"arrivals":{"kind":"poisson","rate":1e-12,"n":4},"max_slots":1152921504606846976}`: 4,
+		`{"seed":3,"arrivals":{"kind":"batch","n":2},"max_slots":1152921504606846976,
+			"churn":{"kind":"poisson-join-leave","rate":1e-12,"n":4,"leave_rate":0}}`: 6,
+	} {
+		sc, err := lowsensing.ParseScenario([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan lowsensing.Result, 1)
+		go func() {
+			r, err := sc.Run()
+			if err != nil {
+				t.Error(err)
+			}
+			done <- r
+		}()
+		select {
+		case r := <-done:
+			if r.Completed != want || r.Arrived != want {
+				t.Fatalf("%s: arrived %d, completed %d, want %d each", spec, r.Arrived, r.Completed, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10 s", spec)
+		}
 	}
 }
 
