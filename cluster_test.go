@@ -197,6 +197,8 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 		"negative cap":     `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "max_slots": -5}`,
 		"cap past 2^60":    `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "max_slots": 1152921504606846977}`,
 		"down past 2^60":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "faults": {"kind": "crash", "rate": 1, "down": 9223372036854775807}}`,
+		"churn rate 1e300": `{"channels": 2, "arrivals": {"kind": "batch", "n": 2}, "churn": {"kind": "poisson-join-leave", "rate": 1e300, "n": 4}}`,
+		"churn rate 2^52":  `{"channels": 2, "arrivals": {"kind": "batch", "n": 2}, "churn": {"kind": "poisson-join-leave", "rate": 4503599627370496, "n": 4}}`,
 	}
 	for name, spec := range cases {
 		if _, err := lowsensing.ParseClusterScenario([]byte(spec)); err == nil {

@@ -131,11 +131,21 @@ type Poisson struct {
 	rng     *prng.Source
 }
 
-// NewPoisson returns a Poisson arrival source with mean lambda arrivals per
-// slot. It returns an error unless 0 < lambda < dist.MaxPoissonLambda.
-func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
+// CheckPoissonRate returns an error unless 0 < lambda <
+// dist.MaxPoissonLambda, the rates NewPoisson accepts. The error completes
+// a sentence naming the rate, so each caller adds its own subject.
+func CheckPoissonRate(lambda float64) error {
 	if !(lambda > 0 && lambda < dist.MaxPoissonLambda) {
-		return nil, fmt.Errorf("arrivals: Poisson lambda must be in (0, %v), got %v", float64(dist.MaxPoissonLambda), lambda)
+		return fmt.Errorf("must be in (0, %v), got %v", float64(dist.MaxPoissonLambda), lambda)
+	}
+	return nil
+}
+
+// NewPoisson returns a Poisson arrival source with mean lambda arrivals per
+// slot. It returns an error unless CheckPoissonRate accepts lambda.
+func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
+	if err := CheckPoissonRate(lambda); err != nil {
+		return nil, fmt.Errorf("arrivals: Poisson lambda %w", err)
 	}
 	return &Poisson{
 		gap:   dist.NewGeometric(-math.Expm1(-lambda)), // 1 - e^-λ, computed stably

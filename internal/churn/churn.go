@@ -104,10 +104,11 @@ type PoissonJoinLeave struct {
 }
 
 // NewPoissonJoinLeave returns a Poisson join/leave process. It returns an
-// error if rate <= 0, n <= 0, or leaveRate is outside [0, 1].
+// error if arrivals.CheckPoissonRate rejects rate, n <= 0, or leaveRate is
+// outside [0, 1].
 func NewPoissonJoinLeave(rate float64, n int64, leaveRate float64, seed uint64) (*PoissonJoinLeave, error) {
-	if !(rate > 0) {
-		return nil, fmt.Errorf("churn: poisson-join-leave rate must be > 0, got %v", rate)
+	if err := arrivals.CheckPoissonRate(rate); err != nil {
+		return nil, fmt.Errorf("churn: poisson-join-leave rate %w", err)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("churn: poisson-join-leave join budget must be > 0, got %d", n)
@@ -122,7 +123,7 @@ func NewPoissonJoinLeave(rate float64, n int64, leaveRate float64, seed uint64) 
 func (p *PoissonJoinLeave) Joins() channel.ArrivalSource {
 	src, err := arrivals.NewPoisson(p.rate, p.n, p.seed)
 	if err != nil {
-		// Unreachable: the constructor validated rate > 0.
+		// Unreachable: the constructor checked rate with CheckPoissonRate.
 		panic(err)
 	}
 	return src

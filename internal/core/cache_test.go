@@ -181,27 +181,6 @@ func TestScheduleNextMatchesPerAccessFormula(t *testing.T) {
 	}
 }
 
-// TestDecideReadsCache pins Decide against the per-access formula the same
-// way, since livenet and simref drive packets through it.
-func TestDecideReadsCache(t *testing.T) {
-	cfg := Default()
-	p, _ := NewPacket(cfg)
-	rng, walk := prng.New(5), prng.New(6)
-	for step := 0; step < 5000; step++ {
-		ref := *rng
-		w := p.Window()
-		wantAccess, wantSend := ref.Bernoulli(refAccess(cfg, w)), false
-		if wantAccess {
-			wantSend = ref.Bernoulli(refSend(cfg, w))
-		}
-		access, send := p.Decide(rng)
-		if access != wantAccess || send != wantSend || *rng != ref {
-			t.Fatalf("step %d w=%v: Decide = (%v, %v), reference (%v, %v)", step, w, access, send, wantAccess, wantSend)
-		}
-		p.Observe(walkObservation(walk, p))
-	}
-}
-
 // walkObservation picks a random observation, but silence once the window
 // passes 2^20, so long walks stay finite under either update rule.
 func walkObservation(walk *prng.Source, p *Packet) channel.Observation {

@@ -207,13 +207,12 @@ func (c Config) Backoff(w float64) float64 { return c.grow(w, math.Log(w)) }
 func (c Config) Backon(w float64) float64 { return c.shrink(w, math.Log(w)) }
 
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
-// channel.Station (event-driven scheduling) as well as the per-slot Decide
-// interface used by the real-time livenet substrate. A Packet is not safe
-// for concurrent use.
+// channel.Station (event-driven scheduling). A Packet is not safe for
+// concurrent use.
 //
 // A Packet caches its per-window state (see the package doc): the cached
 // quantities are a pure function of w and are refreshed exactly when
-// Observe changes w, so ScheduleNext and Decide only read them. The
+// Observe changes w, so ScheduleNext only reads them. The
 // immutable configuration and the state at WMin are shared by every packet
 // of a configuration, which keeps a Packet at 48 bytes.
 type Packet struct {
@@ -301,19 +300,6 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	gap := p.gap.Draw(rng)
 	send := rng.Bernoulli(p.send)
 	return from + gap - 1, send
-}
-
-// Decide makes the per-slot decision directly: whether the packet accesses
-// the channel this slot and, if so, whether it sends. It is equivalent in
-// distribution to ScheduleNext and is used by per-slot substrates (livenet)
-// and by the reference engine in tests.
-//
-//lsbvet:hotpath
-func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
-	if !rng.Bernoulli(p.gap.P()) {
-		return false, false
-	}
-	return true, rng.Bernoulli(p.send)
 }
 
 // Observe implements channel.Station: apply the multiplicative window update

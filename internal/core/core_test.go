@@ -272,16 +272,28 @@ func TestScheduleNextGapDistribution(t *testing.T) {
 	}
 }
 
+// decide is the per-slot form of a packet's policy: access with
+// probability AccessProb(w) and, having accessed, send with probability
+// SendProbGivenAccess(w). It shares nothing with ScheduleNext's geometric
+// gap, so it is an independent reference for the event-driven engine.
+func decide(p *Packet, rng *prng.Source) (access, send bool) {
+	cfg := p.Config()
+	if !rng.Bernoulli(cfg.AccessProb(p.Window())) {
+		return false, false
+	}
+	return true, rng.Bernoulli(cfg.SendProbGivenAccess(p.Window()))
+}
+
 func TestDecideMatchesScheduleDistribution(t *testing.T) {
-	// Decide's per-slot access rate must equal AccessProb; this ties the
-	// per-slot interface (livenet) to the event-driven one (sim).
+	// The per-slot access rate must equal AccessProb; this ties the per-slot
+	// reference (decide) to the event-driven schedule (sim).
 	cfg := Default()
 	p, _ := NewPacket(cfg)
 	rng := prng.New(13)
 	const n = 500000
 	accesses, sends := 0, 0
 	for i := 0; i < n; i++ {
-		a, s := p.Decide(rng)
+		a, s := decide(p, rng)
 		if s && !a {
 			t.Fatal("send without access")
 		}
@@ -320,7 +332,7 @@ func TestMustFactoryPanics(t *testing.T) {
 }
 
 // referenceRun simulates a batch of n LSB packets with a naive per-slot
-// loop using Packet.Decide — an independent implementation of the channel
+// loop using decide — an independent implementation of the channel
 // semantics used to cross-validate the event-driven engine.
 func referenceRun(t *testing.T, cfg Config, n int, seed uint64, maxSlots int64) (activeSlots int64, completed int) {
 	t.Helper()
@@ -341,7 +353,7 @@ func referenceRun(t *testing.T, cfg Config, n int, seed uint64, maxSlots int64) 
 		accessors := make([]int, 0, 4)
 		senders := make([]int, 0, 4)
 		for i, s := range stations {
-			a, snd := s.p.Decide(s.rng)
+			a, snd := decide(s.p, s.rng)
 			if a {
 				accessors = append(accessors, i)
 			}

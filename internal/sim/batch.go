@@ -186,7 +186,7 @@ func (e *Engine) runStation(idx int32, t, limit int64) {
 			ss.listens++
 		}
 		succeeded := sent && outcome == OutcomeSuccess
-		observeStation(ss, Observation{Slot: t, Outcome: outcome, Sent: sent, Succeeded: succeeded})
+		ss.st.Observe(Observation{Slot: t, Outcome: outcome, Sent: sent, Succeeded: succeeded})
 		if succeeded {
 			e.depart(idx, t)
 			e.completed++
@@ -197,7 +197,7 @@ func (e *Engine) runStation(idx int32, t, limit int64) {
 			}
 			return
 		}
-		next, send := scheduleStation(ss, t+1, &ss.rng)
+		next, send := ss.st.ScheduleNext(t+1, &ss.rng)
 		if next <= t {
 			reschedPanic(ss.id, next, t)
 		}

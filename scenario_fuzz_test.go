@@ -48,6 +48,8 @@ func FuzzParseScenario(f *testing.F) {
 		// Extreme numbers.
 		`{"arrivals": {"kind": "batch", "n": 9223372036854775807}}`,
 		`{"arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
+		`{"arrivals":{"kind":"batch","n":2},"churn":{"kind":"poisson-join-leave","rate":1e300,"n":4}}`,
+		`{"arrivals":{"kind":"batch","n":2},"churn":{"kind":"poisson-join-leave","rate":4503599627370496,"n":4}}`,
 		`{"seed": 18446744073709551615, "arrivals": {"kind": "batch", "n": 1}, "max_slots": -5}`,
 		// LSB configs whose access probability at WMin underflows to 0.
 		`{"arrivals":{"kind":"batch","n":4},"protocol":{"kind":"lsb","config":{"C":0.5,"WMin":2.5,"LnPower":10000}}}`,

@@ -216,6 +216,9 @@ func TestParseScenarioStrict(t *testing.T) {
 		"max_slots past 2^60":            `{"arrivals":{"kind":"batch","n":1},"protocol":{"kind":"beb"},"jammer":{"kind":"burst","from":0,"to":9000000000000000000},"max_slots":9000000000000000000}`,
 		"flash-crowd lifetime past 2^60": `{"arrivals":{"kind":"batch","n":4},"churn":{"kind":"flash-crowd","slot":1,"n":2,"lifetime":1152921504606846977}}`,
 		"epochs period past 2^60":        `{"arrivals":{"kind":"batch","n":4},"churn":{"kind":"epochs","period":1152921504606846977}}`,
+		// Run would panic building the join stream's Poisson sampler.
+		"join-leave rate 1e300": `{"arrivals":{"kind":"batch","n":2},"churn":{"kind":"poisson-join-leave","rate":1e300,"n":4}}`,
+		"join-leave rate 2^52":  `{"arrivals":{"kind":"batch","n":2},"churn":{"kind":"poisson-join-leave","rate":4503599627370496,"n":4}}`,
 	}
 	for name, spec := range rejected {
 		if _, err := lowsensing.ParseScenario([]byte(spec)); err == nil {
